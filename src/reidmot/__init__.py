@@ -27,6 +27,7 @@ from .errors import (
     EmptyHistoryError,
     MissingEmbeddingError,
     NonMonotonicFrameError,
+    OrphanEmbeddingError,
     ParseError,
     SeparationInfeasibleError,
     TrackingError,
@@ -63,6 +64,7 @@ __all__ = [
     "GtEntry",
     "MissingEmbeddingError",
     "NonMonotonicFrameError",
+    "OrphanEmbeddingError",
     "ParseError",
     "ScenarioSpec",
     "SeparationInfeasibleError",

@@ -11,7 +11,7 @@ import time
 
 from . import io as seqio
 from . import synth as synthmod
-from .core import FrameInput, TrackerConfig, TrackOutput
+from .core import FrameInput, TrackerConfig, TrackOutput, group_by_frame
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -19,13 +19,14 @@ from .errors import (
     EmptyGtError,
     MissingEmbeddingError,
     NonMonotonicFrameError,
+    OrphanEmbeddingError,
     ParseError,
     SeparationInfeasibleError,
     TrackingError,
     ZeroNormError,
 )
 from .metrics import evaluate
-from .tracker import Tracker
+from .tracker import run_sequence
 
 EXIT_CODES = [
     (ParseError, 3),
@@ -37,7 +38,8 @@ EXIT_CODES = [
     (EmptyGtError, 9),
     (SeparationInfeasibleError, 10),
     (ConfigError, 11),
-    (TrackingError, 12),  # any other domain error
+    (OrphanEmbeddingError, 14),
+    (TrackingError, 12),  # any other domain error; first match wins
     (OSError, 13),
 ]
 
@@ -103,17 +105,15 @@ def _cmd_track(args) -> int:
         ]
 
     start = time.perf_counter()
-    tracker = Tracker(config)
-    outputs = []
-    for fi in frames:
-        outputs.extend(tracker.step(fi))
-    outputs.sort(key=lambda o: (o.frame, o.track_id))
+    outputs = run_sequence(frames, config)
     elapsed = time.perf_counter() - start
 
     seqio.save_text(args.out, seqio.write_results(outputs))
     fps = len(frames) / elapsed if elapsed > 0 else float("inf")
+    # Every track emits on the frame that founds it, so each one has an output.
+    created = len({o.track_id for o in outputs})
     print(
-        f"tracked {len(frames)} frames: {len(tracker.tracks)} tracks created, "
+        f"tracked {len(frames)} frames: {created} tracks created, "
         f"{len(outputs)} outputs, {elapsed:.3f}s wall, {fps:.1f} frames/s",
         file=sys.stderr,
     )
@@ -147,28 +147,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_dips(raw) -> tuple:
-    dips = []
+def _parse_windows(raw, flag: str, layout: str, types: tuple) -> tuple:
+    """Parse each repeated `flag` value as colon-separated fields of `types`."""
+    windows = []
     for item in raw or []:
-        parts = item.split(":")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"bad --score-dip {item!r}, expected START:END:IDENTITY:SCORE"
-            )
-        dips.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
-    return tuple(dips)
-
-
-def _parse_dropout_windows(raw) -> tuple:
-    wins = []
-    for item in raw or []:
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"bad --dropout-window {item!r}, expected START:END:IDENTITY"
-            )
-        wins.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    return tuple(wins)
+        try:
+            parts = zip(types, item.split(":"), strict=True)
+            windows.append(tuple(convert(part) for convert, part in parts))
+        except ValueError:  # a non-numeric part, or too few or too many parts
+            raise ConfigError(f"bad {flag} {item!r}, expected {layout}") from None
+    return tuple(windows)
 
 
 def _cmd_synth(args) -> int:
@@ -179,8 +167,10 @@ def _cmd_synth(args) -> int:
         embed_noise_sigma=args.embed_noise_sigma,
         min_identity_separation=args.min_separation,
         dropout_prob=args.dropout_prob,
-        score_dips=_parse_dips(args.score_dip),
-        dropout_windows=_parse_dropout_windows(args.dropout_window),
+        score_dips=_parse_windows(args.score_dip, "--score-dip",
+                                  "START:END:IDENTITY:SCORE", (int, int, int, float)),
+        dropout_windows=_parse_windows(args.dropout_window, "--dropout-window",
+                                       "START:END:IDENTITY", (int, int, int)),
         clutter_rate=args.clutter_rate,
         arena=(args.arena_width, args.arena_height),
         low_thresh=args.low_thresh,
@@ -201,12 +191,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_nms(args) -> int:
     dets = seqio.parse_detections(seqio.load_text(args.detections))
-    by_frame: dict[int, list] = {}
-    for d in dets:
-        by_frame.setdefault(d.frame, []).append(d)
     kept = []
-    for frame in sorted(by_frame):
-        kept.extend(seqio.nms(by_frame[frame], args.nms_thresh))
+    for frame_dets in group_by_frame(dets).values():
+        kept.extend(seqio.nms(frame_dets, args.nms_thresh))
     seqio.save_text(args.out, seqio.write_detections(kept))
     print(
         f"nms at iou {args.nms_thresh}: kept {len(kept)} of {len(dets)} detections",

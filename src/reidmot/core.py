@@ -2,9 +2,13 @@
 
 Embeddings are plain 1-D float64 numpy arrays. They are L2-normalized once at
 ingestion; after that, similarity between two of them is just a dot product.
+
+Each record's field rules live only in its type's __post_init__; the file
+parsers rely on them instead of repeating them.
 """
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 
 import numpy as np
 
@@ -24,6 +28,12 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not (isfinite(self.x) and isfinite(self.y)
+                and isfinite(self.w) and isfinite(self.h)):
+            raise ValueError(
+                f"box values must be finite, got x={self.x} y={self.y} "
+                f"w={self.w} h={self.h}"
+            )
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w} h={self.h}")
 
@@ -118,6 +128,14 @@ class FrameInput:
                 )
 
 
+def group_by_frame(records) -> dict[int, list]:
+    """Map each frame to its records, frames ascending, input order kept within."""
+    groups: dict[int, list] = {}
+    for record in records:
+        groups.setdefault(record.frame, []).append(record)
+    return dict(sorted(groups.items()))
+
+
 @dataclass(frozen=True)
 class TrackOutput:
     """One emitted track observation: where track_id was seen in a frame."""
@@ -143,6 +161,8 @@ class GtEntry:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if self.identity < 1:
             raise ValueError(f"identity must be >= 1, got {self.identity}")
+        if self.class_id < 0:
+            raise ValueError(f"class_id must be non-negative, got {self.class_id}")
 
 
 @dataclass(frozen=True)

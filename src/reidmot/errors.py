@@ -9,8 +9,11 @@ class TrackingError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ConfigError(TrackingError):
-    """A configuration object violates one of its invariants."""
+class ConfigError(TrackingError, ValueError):
+    """A configuration value violates one of its invariants.
+
+    Also a ValueError: it is the wrong value for a parameter of the right type.
+    """
 
 
 class DimensionMismatchError(TrackingError):
@@ -40,6 +43,17 @@ class MissingEmbeddingError(TrackingError):
         self.frame = frame
         self.index = index
         super().__init__(f"no embedding for frame {frame}, detection index {index}")
+
+
+class OrphanEmbeddingError(TrackingError):
+    """An embedding's (frame, index) key names no detection."""
+
+    def __init__(self, frame: int, index: int):
+        self.frame = frame
+        self.index = index
+        super().__init__(
+            f"embedding for frame {frame}, index {index} matches no detection"
+        )
 
 
 class ParseError(TrackingError):

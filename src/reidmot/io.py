@@ -2,7 +2,10 @@
 
 Three formats, one record per line, `#` starts a comment, blank lines are
 ignored, LF or CRLF both accepted. Malformed lines raise ParseError with the
-1-based line number; nothing is silently skipped.
+1-based line number; nothing is silently skipped. The parsers check only the
+layout of a line (field count, numeric text) and the embedding key; the field
+rules, non-finite numbers included, belong to the record types in `core`,
+whose ValueError the parsers re-raise as a ParseError for the line.
 
     detections:  frame,-1,x,y,w,h,score,class,-1
     embeddings:  frame,index,v1,...,vd      (index = 0-based per-frame file order)
@@ -17,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry, TrackOutput, iou, normalize_embedding
-from .errors import DuplicateEntryError, MissingEmbeddingError, ParseError
+from .core import BBox, Detection, FrameInput, GtEntry, group_by_frame, iou, normalize_embedding
+from .errors import (
+    ConfigError,
+    DuplicateEntryError,
+    MissingEmbeddingError,
+    OrphanEmbeddingError,
+    ParseError,
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +37,6 @@ class SequenceBundle:
     name: str
     frames: tuple[FrameInput, ...]
     gt: tuple[GtEntry, ...] | None = None
-    fps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
@@ -81,16 +89,11 @@ def parse_detections(source) -> list[Detection]:
         h = _field_float(fields, 5, line_no, "h")
         score = _field_float(fields, 6, line_no, "score")
         class_id = _field_int(fields, 7, line_no, "class")
-        if frame < 1:
-            raise ParseError(line_no, f"frame must be >= 1, got {frame}")
-        if w <= 0 or h <= 0:
-            raise ParseError(line_no, f"box sides must be positive, got w={w} h={h}")
-        if not (0.0 <= score <= 1.0):
-            raise ParseError(line_no, f"score must be in [0, 1], got {score}")
-        if class_id < 0:
-            raise ParseError(line_no, f"class must be non-negative, got {class_id}")
-        dets.append(Detection(frame=frame, bbox=BBox(x, y, w, h),
-                              score=score, class_id=class_id))
+        try:
+            dets.append(Detection(frame=frame, bbox=BBox(x, y, w, h),
+                                  score=score, class_id=class_id))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     dets.sort(key=lambda d: d.frame)  # stable: per-frame file order survives
     return dets
 
@@ -121,7 +124,10 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
             raise ParseError(line_no, "non-numeric embedding component") from None
         if dim is None:
             dim = vec.shape[0]
-        emb[(frame, index)] = normalize_embedding(vec, dim)
+        try:
+            emb[(frame, index)] = normalize_embedding(vec, dim)
+        except ValueError as exc:  # a non-finite component
+            raise ParseError(line_no, str(exc)) from None
     return emb
 
 
@@ -129,20 +135,24 @@ def attach_embeddings(detections, embeddings) -> list[FrameInput]:
     """Join detections with their embeddings into per-frame inputs.
 
     The join key is (frame, 0-based position of the detection within its
-    frame). Raises MissingEmbeddingError naming the first hole.
+    frame), and the two inputs must line up both ways: MissingEmbeddingError
+    names the first detection without an embedding; failing that,
+    OrphanEmbeddingError names the smallest key that matches no detection.
+    The detections' own field rules were already checked by their types.
     """
-    by_frame: dict[int, list[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame, []).append(det)
     frames = []
-    for frame in sorted(by_frame):
+    for frame, dets in group_by_frame(detections).items():
         enriched = []
-        for index, det in enumerate(by_frame[frame]):
+        for index, det in enumerate(dets):
             key = (frame, index)
             if key not in embeddings:
                 raise MissingEmbeddingError(frame, index)
             enriched.append(det.with_embedding(embeddings[key]))
         frames.append(FrameInput(frame=frame, detections=tuple(enriched)))
+    # Every detection used a distinct key, so any surplus key is an orphan.
+    if len(embeddings) > sum(len(fi.detections) for fi in frames):
+        used = {(fi.frame, i) for fi in frames for i in range(len(fi.detections))}
+        raise OrphanEmbeddingError(*min(set(embeddings) - used))
     return frames
 
 
@@ -167,21 +177,17 @@ def parse_gt(source) -> list[GtEntry]:
         _field_float(fields, 6, line_no, "score")
         class_id = _field_int(fields, 7, line_no, "class")
         _field_float(fields, 8, line_no, "visibility")
-        if frame < 1:
-            raise ParseError(line_no, f"frame must be >= 1, got {frame}")
-        if identity < 1:
-            raise ParseError(line_no, f"identity must be >= 1, got {identity}")
-        if w <= 0 or h <= 0:
-            raise ParseError(line_no, f"box sides must be positive, got w={w} h={h}")
-        if class_id < 0:
-            raise ParseError(line_no, f"class must be non-negative, got {class_id}")
+        try:
+            entry = GtEntry(frame=frame, identity=identity,
+                            bbox=BBox(x, y, w, h), class_id=class_id)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         if (frame, identity) in seen:
             raise DuplicateEntryError(
                 f"line {line_no}: duplicate entry for frame {frame}, identity {identity}"
             )
         seen.add((frame, identity))
-        entries.append(GtEntry(frame=frame, identity=identity,
-                               bbox=BBox(x, y, w, h), class_id=class_id))
+        entries.append(entry)
     entries.sort(key=lambda e: (e.frame, e.identity))
     return entries
 
@@ -243,7 +249,7 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     order, so the result is score-sorted.
     """
     if not (0.0 <= iou_thresh <= 1.0):
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
+        raise ConfigError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
     kept: list[Detection] = []
     for i in order:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import gate_costs, solve_assignment
-from .core import iou
-from .errors import EmptyGtError
+from .core import group_by_frame, iou
+from .errors import ConfigError, EmptyGtError
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,11 @@ class EvalReport:
     num_gt: int
 
 
-def _by_frame(entries):
-    frames: dict[int, list] = {}
-    for e in entries:
-        frames.setdefault(e.frame, []).append(e)
-    return frames
+def _check_inputs(gt, iou_gate: float):
+    if not (0.0 < iou_gate <= 1.0):
+        raise ConfigError(f"iou_gate must be in (0, 1], got {iou_gate}")
+    if not gt:
+        raise EmptyGtError("ground truth is empty")
 
 
 def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
@@ -56,14 +56,11 @@ def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
     counted whenever a matched ground-truth identity is paired with a track id
     different from the one of its most recent earlier pairing.
     """
-    if not (0.0 < iou_gate <= 1.0):
-        raise ValueError(f"iou_gate must be in (0, 1], got {iou_gate}")
+    _check_inputs(gt, iou_gate)
     num_gt = len(gt)
-    if num_gt == 0:
-        raise EmptyGtError("ground truth is empty")
 
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+    gt_frames = group_by_frame(gt)
+    pred_frames = group_by_frame(pred)
     all_frames = sorted(set(gt_frames) | set(pred_frames))
 
     last_pairing: dict[int, int] = {}  # gt identity -> track id of last match
@@ -124,16 +121,13 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
     of frames in which both appear with box IoU >= iou_gate; the assignment
     maximizes total overlap. Conventions: empty predictions give idp = 0.
     """
-    if not (0.0 < iou_gate <= 1.0):
-        raise ValueError(f"iou_gate must be in (0, 1], got {iou_gate}")
+    _check_inputs(gt, iou_gate)
     total_gt = len(gt)
-    if total_gt == 0:
-        raise EmptyGtError("ground truth is empty")
     total_pred = len(pred)
 
     overlap = Counter()
-    pred_frames = _by_frame(pred)
-    for frame, gts in sorted(_by_frame(gt).items()):
+    pred_frames = group_by_frame(pred)
+    for frame, gts in group_by_frame(gt).items():
         for g in gts:
             for p in pred_frames.get(frame, []):
                 if iou(g.bbox, p.bbox) >= iou_gate:

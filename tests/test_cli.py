@@ -188,3 +188,53 @@ def test_synth_flags_shape_the_scenario(tmp_path, capsys):
     assert sum(1 for d in dets if 6 <= d.frame <= 9) == 4  # identity 2 hidden
     assert sorted(d.score for d in dets if d.frame == 11) == [0.5, 0.95]
     assert len(parse_gt(load_text(gt))) == 100  # gt unaffected by dropout
+
+
+@pytest.mark.parametrize(
+    "det_text,emb_text,line",
+    [
+        ("1,-1,0,0,10,10,0.9,0,-1\n1,-1,nan,inf,inf,5,0.9,0,-1\n",
+         "1,0,1,0\n1,1,0,1\n", 2),
+        ("1,-1,0,0,10,10,0.9,0,-1\n", "# header\n1,0,nan,1\n", 2),
+    ],
+)
+def test_non_finite_input_exits_3(tmp_path, capsys, det_text, emb_text, line):
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text(det_text)
+    emb.write_text(emb_text)
+    rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and "finite" in err
+
+
+def test_orphan_embedding_exits_14(tmp_path, capsys):
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.9,1,-1\n")
+    emb.write_text("1,0,1.0,0.0\n1,1,1.0,0.0\n2,0,0.0,1.0\n")
+    rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt")])
+    assert rc == 14
+    assert "frame 1, index 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("synth", "--score-dip", "a:8:1:0.5"),
+        ("synth", "--dropout-window", "5:x:1"),
+        ("track", "--nms-thresh", "2"),
+        ("eval", "--iou-gate", "0"),
+    ],
+)
+def test_bad_flag_value_exits_11(tmp_path, capsys, command, flag, value):
+    det, emb, gt = _synth(tmp_path)
+    files = {
+        "synth": [str(tmp_path / "s")],
+        "track": [str(det), str(emb), str(tmp_path / "out.txt")],
+        "eval": [str(gt), str(gt)],
+    }[command]
+    rc = main([command, *files, flag, value])
+    assert rc == 11
+    capsys.readouterr()

@@ -7,6 +7,7 @@ from reidmot import (
     Detection,
     DimensionMismatchError,
     FrameInput,
+    GtEntry,
     TrackerConfig,
     ZeroNormError,
     cosine_similarity,
@@ -166,3 +167,17 @@ def test_config_validation():
     assert cfg.low_thresh == cfg.high_thresh
     # custom floor survives
     assert TrackerConfig(min_init_score=0.9).min_init_score == 0.9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bbox_requires_finite_values(bad):
+    for fields in ((bad, 0, 10, 10), (0, bad, 10, 10), (0, 0, bad, 10), (0, 0, 10, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            BBox(*fields)
+
+
+def test_gt_entry_validation():
+    box = BBox(0, 0, 10, 10)
+    for kwargs in ({"frame": 0}, {"identity": 0}, {"class_id": -1}):
+        with pytest.raises(ValueError):
+            GtEntry(**{"frame": 1, "identity": 1, "bbox": box, **kwargs})

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidmot import (
     BBox,
@@ -8,6 +12,7 @@ from reidmot import (
     DuplicateEntryError,
     GtEntry,
     MissingEmbeddingError,
+    OrphanEmbeddingError,
     ParseError,
     TrackOutput,
     ZeroNormError,
@@ -53,6 +58,13 @@ def test_parse_detections_basic():
         ("0,-1,0,0,10,10,0.5,0,-1", "frame"),
         ("1,-1,0,0,10,10,0.5,-2,-1", "class"),
         ("1,-1,0,0,10,10,0.5,1.5,-1", "class"),
+        ("1,-1,nan,0,10,10,0.5,0,-1", "finite"),
+        ("1,-1,0,-inf,10,10,0.5,0,-1", "finite"),
+        ("1,-1,0,0,inf,10,0.5,0,-1", "finite"),
+        ("1,-1,0,0,10,nan,0.5,0,-1", "finite"),
+        ("1,-1,0,0,1e400,10,0.5,0,-1", "finite"),
+        ("1,-1,0,0,10,10,nan,0,-1", "score"),
+        ("1,-1,0,0,10,10,inf,0,-1", "score"),
     ],
 )
 def test_parse_detections_rejects_malformed(line, fragment):
@@ -93,6 +105,10 @@ def test_parse_embeddings_errors():
         parse_embeddings("1,0,a,b\n")
     with pytest.raises(ParseError):
         parse_embeddings("1,-1,1,0\n")
+    with pytest.raises(ParseError, match="line 2: .*finite"):
+        parse_embeddings("1,0,1,0\n1,1,nan,1\n")
+    with pytest.raises(ParseError, match="line 1: .*finite"):
+        parse_embeddings("1,0,1,-inf\n")
 
 
 def test_attach_embeddings_joins_by_frame_and_file_order():
@@ -115,6 +131,17 @@ def test_attach_embeddings_reports_hole():
     with pytest.raises(MissingEmbeddingError) as err:
         attach_embeddings(dets, emb)
     assert err.value.frame == 1 and err.value.index == 1
+
+
+def test_attach_embeddings_reports_smallest_orphan():
+    dets = parse_detections("1,-1,0,0,10,10,0.9,0,-1\n3,-1,0,0,10,10,0.9,0,-1\n")
+    emb = parse_embeddings("3,1,1,0\n1,0,1,0\n2,0,0,1\n3,0,0,1\n")
+    with pytest.raises(OrphanEmbeddingError) as err:
+        attach_embeddings(dets, emb)
+    assert (err.value.frame, err.value.index) == (2, 0)
+    # a hole is reported before any orphan
+    with pytest.raises(MissingEmbeddingError):
+        attach_embeddings(dets, parse_embeddings("1,1,1,0\n3,0,0,1\n"))
 
 
 def test_detection_roundtrip_is_lossless():
@@ -179,6 +206,12 @@ def test_gt_roundtrip_and_validation():
         parse_gt("1,0,0,0,10,10,1,0,1\n")  # identity must be >= 1
     with pytest.raises(ParseError):
         parse_gt("1,1,0,0,10,10,1,0\n")
+    with pytest.raises(ParseError, match="class"):
+        parse_gt("1,1,0,0,10,10,1,-1,1\n")
+    with pytest.raises(ParseError, match="line 2: .*finite"):
+        parse_gt("1,1,0,0,10,10,1,0,1\n1,2,inf,0,10,10,1,0,1\n")
+    with pytest.raises(ParseError, match="finite"):
+        parse_gt("1,1,0,0,nan,10,1,0,1\n")
     # sorted by (frame, identity)
     back = parse_gt("2,1,0,0,10,10,1,0,1\n1,2,0,0,10,10,1,0,1\n1,1,0,0,10,10,1,0,1\n")
     assert [(e.frame, e.identity) for e in back] == [(1, 1), (1, 2), (2, 1)]
@@ -268,3 +301,76 @@ def test_nms_idempotent_and_subset_on_random_frames():
             for j in range(i + 1, len(kept)):
                 if kept[i].class_id == kept[j].class_id:
                     assert iou(kept[i].bbox, kept[j].bbox) <= thresh
+
+
+# Property tests. Fixed settings keep them deterministic and quick.
+PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+side = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+boxes = st.builds(BBox, finite, finite, side, side)
+frames = st.integers(1, 10**6)
+classes = st.integers(0, 10**6)
+detections = st.builds(Detection, frame=frames, bbox=boxes,
+                       score=st.floats(0.0, 1.0), class_id=classes)
+gt_entries = st.builds(GtEntry, frame=frames, identity=st.integers(1, 10**6),
+                       bbox=boxes, class_id=classes)
+# Numeric text of every kind a file may hold: non-finite values, small ints,
+# repr floats, signs, padding, separators and empty fields.
+numeric_text = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400"]),
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["-0", "+1", " 2", "1_0", "0x1", ""]),
+)
+
+
+def rows_like(valid_row):
+    """1-3 copies of a valid row, each with one or two fields replaced."""
+    def mutate(edits):
+        fields = valid_row.split(",")
+        for col, text in edits:
+            fields[col] = text
+        return ",".join(fields)
+    edits = st.lists(st.tuples(st.integers(0, 8), numeric_text), min_size=1, max_size=2)
+    return st.lists(edits.map(mutate), min_size=1, max_size=3)
+
+
+def _box_ok(b):
+    return all(math.isfinite(v) for v in (b.x, b.y, b.w, b.h)) and b.w > 0 and b.h > 0
+
+
+@PROPERTY
+@given(st.lists(detections, max_size=20))
+def test_detection_roundtrip_property(dets):
+    assert parse_detections(write_detections(dets)) == sorted(dets, key=lambda d: d.frame)
+
+
+@PROPERTY
+@given(st.lists(gt_entries, max_size=20, unique_by=lambda e: (e.frame, e.identity)))
+def test_gt_roundtrip_property(entries):
+    assert parse_gt(write_gt(entries)) == sorted(entries, key=lambda e: (e.frame, e.identity))
+
+
+@PROPERTY
+@given(rows_like("1,-1,0,0,10,10,0.5,0,-1"))
+def test_detection_rows_parse_valid_or_raise_parse_error(lines):
+    try:
+        dets = parse_detections("\n".join(lines))
+    except ParseError:
+        return
+    assert len(dets) == len(lines)
+    for d in dets:
+        assert _box_ok(d.bbox) and d.frame >= 1 and 0.0 <= d.score <= 1.0 and d.class_id >= 0
+
+
+@PROPERTY
+@given(rows_like("1,1,0,0,10,10,1,0,1"))
+def test_gt_rows_parse_valid_or_raise_parse_error(lines):
+    try:
+        entries = parse_gt("\n".join(lines))
+    except (ParseError, DuplicateEntryError):
+        return
+    assert len(entries) == len(lines)
+    for e in entries:
+        assert _box_ok(e.bbox) and e.frame >= 1 and e.identity >= 1 and e.class_id >= 0
