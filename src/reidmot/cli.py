@@ -99,10 +99,8 @@ def _cmd_track(args) -> int:
                                   expected_dim=args.embedding_dim)
     frames = seqio.attach_embeddings(dets, embs)
     if args.nms_thresh is not None:
-        frames = [
-            FrameInput(fi.frame, tuple(seqio.nms(fi.detections, args.nms_thresh)))
-            for fi in frames
-        ]
+        kept = seqio.nms_frames([fi.detections for fi in frames], args.nms_thresh)
+        frames = [FrameInput(fi.frame, tuple(k)) for fi, k in zip(frames, kept)]
 
     start = time.perf_counter()
     outputs = run_sequence(frames, config)
@@ -191,9 +189,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_nms(args) -> int:
     dets = seqio.parse_detections(seqio.load_text(args.detections))
-    kept = []
-    for frame_dets in group_by_frame(dets).values():
-        kept.extend(seqio.nms(frame_dets, args.nms_thresh))
+    per_frame = seqio.nms_frames(group_by_frame(dets).values(), args.nms_thresh)
+    kept = [det for frame_kept in per_frame for det in frame_kept]
     seqio.save_text(args.out, seqio.write_detections(kept))
     print(
         f"nms at iou {args.nms_thresh}: kept {len(kept)} of {len(dets)} detections",

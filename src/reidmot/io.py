@@ -240,6 +240,11 @@ def write_gt(entries) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _check_iou_thresh(iou_thresh: float):
+    if not (0.0 <= iou_thresh <= 1.0):
+        raise ConfigError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
+
+
 def nms(detections, iou_thresh: float) -> list[Detection]:
     """Greedy per-class non-maximum suppression of one frame's detections.
 
@@ -248,8 +253,7 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     of the same class is <= iou_thresh. Returns kept detections in visit
     order, so the result is score-sorted.
     """
-    if not (0.0 <= iou_thresh <= 1.0):
-        raise ConfigError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
+    _check_iou_thresh(iou_thresh)
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
     kept: list[Detection] = []
     for i in order:
@@ -258,6 +262,16 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
                for k in kept if k.class_id == cand.class_id):
             kept.append(cand)
     return kept
+
+
+def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:
+    """nms of each frame's detections in `frame_groups`, in the same order.
+
+    The threshold is checked before the first frame, so a bad one is
+    rejected even when there are no frames at all.
+    """
+    _check_iou_thresh(iou_thresh)
+    return [nms(dets, iou_thresh) for dets in frame_groups]
 
 
 def load_text(path) -> str:

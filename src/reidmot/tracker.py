@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import FORBIDDEN, gate_costs, solve_assignment
-from .core import Detection, FrameInput, TrackerConfig, TrackOutput, normalize_embedding
+from .core import (
+    ZERO_NORM_EPS,
+    Detection,
+    FrameInput,
+    TrackerConfig,
+    TrackOutput,
+    normalize_embedding,
+)
 from .errors import (
     DimensionMismatchError,
     EmptyHistoryError,
@@ -25,6 +32,9 @@ from .errors import (
 )
 
 ZERO_WEIGHT_EPS = 1e-12
+# Most histories one temporary feature block holds, so that a frame matching
+# hundreds of tracks never gathers all their embeddings at once.
+FEATURE_BATCH = 64
 
 
 class TrackState(enum.Enum):
@@ -41,16 +51,57 @@ def weighted_feature(history, tau: int) -> np.ndarray:
     pull the representation harder than a dubious one), the weighted mean is
     renormalized to unit length.
     """
-    if len(history) == 0:
-        raise EmptyHistoryError("cannot compute a feature from an empty history")
-    recent = list(history)[-tau:]
-    embs = np.stack([e for e, _ in recent])
-    scores = np.array([s for _, s in recent], dtype=np.float64)
-    total = float(scores.sum())
-    if total < ZERO_WEIGHT_EPS:
-        raise ZeroWeightError(f"history scores sum to {total!r}")
-    mean = embs.T @ scores / total
-    return normalize_embedding(mean)
+    return _weighted_means([list(history)[-tau:]])[0]
+
+
+def _weighted_means(histories) -> list[np.ndarray]:
+    """weighted_feature of each whole history, computed a batch at a time.
+
+    Histories of one length n go through numpy together, at most
+    FEATURE_BATCH of them at once: an (m, n) score block and an (m, n, d)
+    embedding block gathered from the histories themselves. The batched
+    matmuls give each row the same bits as the one-history forms
+    `embs.T @ scores / total` and `np.linalg.norm`; padding histories to a
+    common length, `einsum` or `norm(axis=1)` would not. A history whose
+    scores sum below ZERO_WEIGHT_EPS raises ZeroWeightError, a mean that
+    normalize_embedding would reject raises its error; when several
+    histories fail, the first failing one of the first failing batch raises.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, history in enumerate(histories):
+        if len(history) == 0:
+            raise EmptyHistoryError("cannot compute a feature from an empty history")
+        by_length.setdefault(len(history), []).append(i)
+    features: list = [None] * len(histories)
+    for n, rows in by_length.items():
+        for start in range(0, len(rows), FEATURE_BATCH):
+            batch = rows[start:start + FEATURE_BATCH]
+            m = len(batch)
+            # np.array, unlike np.concatenate, rejects embeddings of unequal length.
+            embs = np.array([e for i in batch for e, _ in histories[i]]).reshape(m, n, -1)
+            scores = np.array([s for i in batch for _, s in histories[i]],
+                              dtype=np.float64).reshape(m, n)
+            totals = scores.sum(axis=1)
+            light = np.flatnonzero(totals < ZERO_WEIGHT_EPS)
+            if light.size:
+                raise ZeroWeightError(f"history scores sum to {float(totals[light[0]])!r}")
+            means = np.matmul(scores[:, None, :], embs)[:, 0, :] / totals[:, None]
+            norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
+            # A zero, tiny or non-finite norm goes to normalize_embedding, which
+            # raises for it what it always raised; the one it lets through, a
+            # norm that overflowed to inf, gives the same zeros as the division.
+            for k in np.flatnonzero(~(np.isfinite(norms) & (norms >= ZERO_NORM_EPS))):
+                normalize_embedding(means[k])
+            unit = means / norms[:, None]
+            for k, i in enumerate(batch):
+                features[i] = unit[k]
+    return features
+
+
+def _refresh_features(tracks):
+    """Recompute the feature of every track in `tracks` in one batched pass."""
+    for track, feature in zip(tracks, _weighted_means([t.history for t in tracks])):
+        track.feature = feature
 
 
 def split_by_score(detections, config: TrackerConfig):
@@ -75,27 +126,42 @@ class Track:
     """State of one tracked object.
 
     Keeps a bounded ring of the last `tau` (embedding, score) observations;
-    `feature` is always the score-weighted mean of that ring (see
-    weighted_feature). While a track is lost the ring is not touched, so the
+    `feature` is the score-weighted mean of that ring (see weighted_feature).
+    Constructing a track or calling `_observe` refreshes the feature at once;
+    Tracker.step instead records every match of a frame first and then
+    refreshes the features of all the tracks it matched or founded in one
+    batched pass. While a track is lost the ring is not touched, so the
     feature stays frozen at its last matched appearance.
     """
 
     def __init__(self, track_id: int, detection: Detection, frame: int, tau: int):
+        self._found(track_id, detection, frame, tau)
+        _refresh_features([self])
+
+    @classmethod
+    def _unrefreshed(cls, track_id: int, detection: Detection, frame: int,
+                     tau: int) -> "Track":
+        """A track founded on `detection` whose feature the caller refreshes."""
+        track = cls.__new__(cls)
+        track._found(track_id, detection, frame, tau)
+        return track
+
+    def _found(self, track_id: int, detection: Detection, frame: int, tau: int):
         self.track_id = track_id
-        self.state = TrackState.ACTIVE
         self.class_id = detection.class_id
         self.tau = tau
         self.history: deque = deque(maxlen=tau)
-        self.frames_since_match = 0
         self.start_frame = frame
-        self.last_frame = frame
-        self.last_bbox = detection.bbox
         self.feature: np.ndarray | None = None
-        self._observe(detection, frame)
+        self._record(detection, frame)
 
     def _observe(self, detection: Detection, frame: int):
+        self._record(detection, frame)
+        _refresh_features([self])
+
+    def _record(self, detection: Detection, frame: int):
+        """The bookkeeping of a match; the feature is left as it was."""
         self.history.append((detection.embedding, detection.score))
-        self.feature = weighted_feature(self.history, self.tau)
         self.state = TrackState.ACTIVE
         self.frames_since_match = 0
         self.last_bbox = detection.bbox
@@ -173,7 +239,10 @@ class Tracker:
         (with bytetrack_stage2 the pool is the low band only). Matched tracks
         absorb their detection; unmatched tracks age and eventually drop off;
         unmatched high-band detections above min_init_score found new tracks.
-        Low-band detections never found tracks.
+        Low-band detections never found tracks. Matching and founding only
+        record the detection; the features of all matched and founded tracks
+        are then refreshed in one batched pass (see _weighted_means), before
+        the outputs are built.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -222,7 +291,7 @@ class Tracker:
         stats.matched_stage2 = len(res2.matches)
 
         for track, det in matched:
-            track._observe(det, frame)
+            track._record(det, frame)
 
         matched_ids = {t.track_id for t, _ in matched}
         for track in live:
@@ -241,15 +310,14 @@ class Tracker:
         new_tracks = []
         for det in leftovers:
             if det.score >= cfg.min_init_score:
-                track = Track(self._next_id, det, frame, cfg.tau)
+                new_tracks.append(Track._unrefreshed(self._next_id, det, frame, cfg.tau))
                 self._next_id += 1
-                self.tracks.append(track)
-                new_tracks.append(track)
-        stats.spawned = len(new_tracks)
 
-        emitting = sorted(
-            [t for t, _ in matched] + new_tracks, key=lambda t: t.track_id
-        )
+        emitting = [t for t, _ in matched] + new_tracks
+        _refresh_features(emitting)
+        self.tracks.extend(new_tracks)
+        stats.spawned = len(new_tracks)
+        emitting.sort(key=lambda t: t.track_id)
         outputs = []
         for track in emitting:
             emb, score = track.history[-1]

@@ -238,3 +238,26 @@ def test_bad_flag_value_exits_11(tmp_path, capsys, command, flag, value):
     rc = main([command, *files, flag, value])
     assert rc == 11
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["track", "nms"])
+def test_bad_nms_thresh_on_empty_input_exits_11(tmp_path, capsys, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out = tmp_path / "out.txt"
+    inputs = [str(empty), str(empty)] if command == "track" else [str(empty)]
+    rc = main([command, *inputs, str(out), "--nms-thresh", "2"])
+    assert rc == 11
+    assert not out.exists()
+    assert "iou_thresh must be in [0, 1]" in capsys.readouterr().err
+
+
+def test_feature_that_cancels_out_exits_6(tmp_path, capsys):
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.9,0,-1\n2,-1,0,0,10,10,0.9,0,-1\n")
+    emb.write_text("1,0,1.0,0.0\n2,0,-1.0,0.0\n")
+    rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt"),
+               "--sim-gate-high", "-1", "--no-per-class"])
+    assert rc == 6
+    capsys.readouterr()

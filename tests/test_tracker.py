@@ -13,12 +13,15 @@ from reidmot import (
     Tracker,
     TrackerConfig,
     TrackState,
+    ZeroNormError,
     ZeroWeightError,
     build_cost_matrix,
     run_sequence,
     split_by_score,
     weighted_feature,
 )
+
+from reidmot.tracker import FEATURE_BATCH
 
 from oracles import direct_weighted_feature
 
@@ -339,3 +342,58 @@ def test_feature_invariant_holds_after_every_step():
         for track in tracker.live_tracks:
             want = direct_weighted_feature(list(track.history), cfg.tau)
             assert np.max(np.abs(track.feature - np.array(want))) < 1e-9
+
+
+def one_history_numpy_feature(history):
+    """The feature by one history's own numpy forms, which fix its bits."""
+    embs = np.stack([e for e, _ in history])
+    scores = np.array([s for _, s in history], dtype=np.float64)
+    mean = embs.T @ scores / float(scores.sum())
+    return mean / float(np.linalg.norm(mean))
+
+
+def test_batched_features_equal_single_history_features_bit_for_bit():
+    # Identities are born over the first seven frames and drop out at random,
+    # so one frame mixes histories shorter than tau with full ones; once all
+    # are full, a frame matches more same-length tracks than one batch holds.
+    rng = np.random.default_rng(12)
+    cfg = TrackerConfig(tau=5, per_class=False)
+    n_ids = FEATURE_BATCH + 16
+    base = rng.normal(size=(n_ids, 128))
+    tracker = Tracker(cfg)
+    mixed_frames = 0
+    widest_group = 0
+    for f in range(1, 16):
+        dets = []
+        for k in range(n_ids):
+            born = f == k % 7 + 1
+            if f < k % 7 + 1 or (not born and rng.uniform() < 0.05):
+                continue
+            score = 0.95 if born else float(rng.uniform(0.3, 1.0))
+            e = base[k] + rng.normal(scale=0.05, size=128)
+            dets.append(det(f, score, e / np.linalg.norm(e)))
+        out = tracker.step(FrameInput(frame=f, detections=tuple(dets)))
+        lengths = [len(t.history) for t in tracker.tracks if t.last_frame == f]
+        mixed_frames += len(set(lengths)) > 1 and cfg.tau in lengths
+        widest_group = max(widest_group, lengths.count(cfg.tau))
+        assert len(out) == len(lengths)
+        for track in tracker.live_tracks:
+            want = weighted_feature(list(track.history), cfg.tau)
+            assert np.array_equal(track.feature, want)
+            assert np.array_equal(track.feature, one_history_numpy_feature(track.history))
+    assert mixed_frames > 0
+    assert widest_group > FEATURE_BATCH
+
+
+def test_step_raises_zero_norm_for_a_mean_that_cancels():
+    e = unit(1, 0, 0)
+    tracker = Tracker(TrackerConfig(sim_gate_high=-1.0, per_class=False))
+    tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, e),)))
+    with pytest.raises(ZeroNormError):
+        tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, -e),)))
+
+
+def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
+    tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0))
+    with pytest.raises(ZeroWeightError):
+        tracker.step(FrameInput(frame=1, detections=(det(1, 0.0, unit(1, 0)),)))
