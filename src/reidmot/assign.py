@@ -3,10 +3,12 @@
 The heavy lifting is scipy's Hungarian solver; this module adds the semantics
 the tracker needs on top of it: an explicit FORBIDDEN sentinel (never a large
 finite cost the solver could trade away), rectangular inputs, maximum-cardinality
--then-minimum-cost optimality, and a deterministic canonical choice among
-equal-cost optima (lowest row index first, then lowest column index).
+-then-minimum-cost optimality with totals compared exactly, and one
+deterministic choice among the optima: the lexicographically smallest
+row-sorted pair list.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ def gate_costs(costs: np.ndarray, max_cost: float) -> np.ndarray:
 
     Entries exactly at max_cost stay admissible.
     """
-    if max_cost < 0:
+    if not max_cost >= 0:
         raise ValueError(f"max_cost must be >= 0, got {max_cost}")
     costs = np.asarray(costs, dtype=np.float64)
     return np.where(costs > max_cost, FORBIDDEN, costs)
@@ -42,103 +44,94 @@ def _validate(costs: np.ndarray) -> np.ndarray:
         raise ValueError(f"cost matrix must be 2-D, got shape {costs.shape}")
     if np.any(np.isnan(costs)):
         raise ValueError("cost matrix contains NaN")
-    finite = np.isfinite(costs)
-    if np.any(costs[finite] < 0):
-        raise ValueError("finite costs must be non-negative")
-    return finite
+    if np.any(costs < 0):
+        raise ValueError("costs must be non-negative (FORBIDDEN is +inf)")
+    return costs != FORBIDDEN
 
 
-def _canonicalize(costs: np.ndarray, pairs: list[tuple[int, int]]):
-    """Rewrite `pairs` into the canonical optimum for tie-broken determinism.
+def _solve(costs: np.ndarray, allowed: np.ndarray):
+    """One rectangular solve: the pairs it makes and their key.
 
-    Exact-equality cost ties are resolved so lower row indices end up with
-    lower column indices. Each move strictly decreases the sorted pair list
-    lexicographically, so the sweep terminates.
+    The key is (-cardinality, exact total), so a lower key is a better
+    matching and equal totals compare equal whatever the summation order.
     """
-    pairs.sort()
-    matched_rows = {i for i, _ in pairs}
-    changed = True
-    while changed:
-        changed = False
-        # Pull a match up to an earlier unmatched row at identical cost.
-        for k, (i, j) in enumerate(pairs):
-            for i2 in range(i):
-                if i2 not in matched_rows and np.isfinite(costs[i2, j]) \
-                        and costs[i2, j] == costs[i, j]:
-                    matched_rows.discard(i)
-                    matched_rows.add(i2)
-                    pairs[k] = (i2, j)
-                    changed = True
-                    break
-        pairs.sort()
-        # Slide a match left to an unmatched column at identical cost.
-        matched_cols = {j for _, j in pairs}
-        for k, (i, j) in enumerate(pairs):
-            for j2 in range(j):
-                if j2 not in matched_cols and np.isfinite(costs[i, j2]) \
-                        and costs[i, j2] == costs[i, j]:
-                    matched_cols.discard(j)
-                    matched_cols.add(j2)
-                    pairs[k] = (i, j2)
-                    changed = True
-                    break
-        # Swap columns between two matches when the totals tie exactly.
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                (i1, j1), (i2, j2) = pairs[a], pairs[b]
-                if j2 < j1 and np.isfinite(costs[i1, j2]) and np.isfinite(costs[i2, j1]) \
-                        and costs[i1, j2] + costs[i2, j1] == costs[i1, j1] + costs[i2, j2]:
-                    pairs[a] = (i1, j2)
-                    pairs[b] = (i2, j1)
-                    changed = True
-        pairs.sort()
+    # Disallowed entries cost more than every allowed entry together, so one
+    # more allowed pair always lowers the total: the solver maximizes the
+    # number of allowed pairs before it minimizes their cost, and the pairs
+    # left after dropping disallowed ones form a maximum-cardinality
+    # minimum-cost matching.
+    big = float(costs[allowed].sum()) + 1.0
+    r, c = linear_sum_assignment(np.where(allowed, costs, big))
+    keep = allowed[r, c]
+    r, c = r[keep], c[keep]
+    return list(zip(r.tolist(), c.tolist())), (-len(r), math.fsum(costs[r, c]))
+
+
+def _fix_rows(costs: np.ndarray, allowed: np.ndarray, pairs, key):
+    """The lexicographically smallest optimum, one row at a time.
+
+    Each row, in ascending order, takes the lowest column that still admits a
+    matching with a key no worse than `key`, or stays unmatched if none does.
+    `pairs` is always an optimum that agrees with the rows fixed so far, so
+    its column for the current row needs no trial solve.
+    """
+    allowed = allowed.copy()
+    for i in range(costs.shape[0]):
+        col = dict(pairs).get(i)
+        for j in np.flatnonzero(allowed[i]).tolist():
+            if j == col:
+                break
+            trial = allowed.copy()
+            trial[i] = False
+            trial[:, j] = False
+            trial[i, j] = True
+            trial_pairs, trial_key = _solve(costs, trial)
+            if trial_key <= key:
+                pairs, key, col = trial_pairs, trial_key, j
+                break
+        allowed[i] = False
+        if col is not None:
+            allowed[:, col] = False
+            allowed[i, col] = True
+    return pairs
 
 
 def solve_assignment(costs: np.ndarray) -> AssignmentResult:
     """Optimal matching of rows to columns under FORBIDDEN constraints.
 
-    Among all matchings that avoid FORBIDDEN entries, returns one of maximum
-    cardinality and, within that, minimum total cost. Deterministic: exact
-    cost ties are broken toward the lowest row index, then lowest column
-    index. Rows and columns left over are reported unmatched.
+    Among all matchings that avoid FORBIDDEN entries, takes those of maximum
+    cardinality and, among them, minimum total cost, with totals compared
+    exactly. Of these it returns the one whose row-sorted pair list is
+    lexicographically smallest: the lowest row that can be matched is, and
+    to its lowest possible column, then the next row, and so on. Rows and
+    columns left over are reported unmatched.
     """
     costs = np.asarray(costs, dtype=np.float64)
-    finite = _validate(costs)
+    allowed = _validate(costs)
     rows, cols = costs.shape
-    if rows == 0 or cols == 0 or not finite.any():
-        return AssignmentResult(
-            matches=(),
-            unmatched_rows=tuple(range(rows)),
-            unmatched_cols=tuple(range(cols)),
-            total_cost=0.0,
-        )
+    pairs, key = _solve(costs, allowed)
 
-    # Square padding. Forbidden entries get a cost exceeding any possible
-    # finite total, so the solver minimizes the number of forbidden pairs it
-    # is forced through before it minimizes real cost; dummy rows/columns are
-    # free. Every padded solution then maps back to a maximum-cardinality
-    # minimum-cost matching once forbidden and dummy pairs are dropped.
-    n = max(rows, cols)
-    big = float(costs[finite].sum()) + 1.0
-    padded = np.zeros((n, n), dtype=np.float64)
-    padded[:rows, :cols] = np.where(finite, costs, big)
-    row_ind, col_ind = linear_sum_assignment(padded)
+    # Any lexicographically smaller optimum uses a lower entry: an allowed
+    # entry left of its row's matched column, or any entry of an unmatched row.
+    matched_col = np.full(rows, cols)
+    for i, j in pairs:
+        matched_col[i] = j
+    lower = allowed & (np.arange(cols) < matched_col[:, None])
+    if lower.any():
+        # Making every non-lower entry eps dearer makes such an optimum at
+        # least eps cheaper than `pairs`. Scaled with the solve's largest
+        # entry, eps stays above the solver's rounding, so getting `pairs`
+        # back proves no such optimum exists.
+        eps = 1e-9 * (float(costs[allowed].sum()) + 1.0)
+        if _solve(np.where(lower, costs, costs + eps), allowed)[0] != pairs:
+            pairs = _fix_rows(costs, allowed, pairs, key)
 
-    pairs = [
-        (int(i), int(j))
-        for i, j in zip(row_ind, col_ind)
-        if i < rows and j < cols and finite[i, j]
-    ]
-    _canonicalize(costs, pairs)
-
-    total = 0.0
-    for i, j in pairs:  # row-ascending accumulation keeps totals reproducible
-        total += float(costs[i, j])
     matched_r = {i for i, _ in pairs}
     matched_c = {j for _, j in pairs}
     return AssignmentResult(
         matches=tuple(pairs),
         unmatched_rows=tuple(i for i in range(rows) if i not in matched_r),
         unmatched_cols=tuple(j for j in range(cols) if j not in matched_c),
-        total_cost=total,
+        # row-ascending accumulation keeps totals reproducible
+        total_cost=float(sum(costs[i, j] for i, j in pairs)),
     )

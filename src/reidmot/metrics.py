@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .assign import gate_costs, solve_assignment
 from .core import group_by_frame, iou
@@ -142,11 +143,8 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
         weights = np.zeros((len(identities), len(tids)))
         for (i, t), w in overlap.items():
             weights[irow[i], tcol[t]] = w
-        # Max-weight assignment via its min-cost complement on a complete
-        # matrix: with cardinality pinned at min(n, m) and weights >= 0,
-        # minimizing sum(max - w) is exactly maximizing sum(w).
-        res = solve_assignment(weights.max() - weights)
-        idtp = int(sum(weights[i, j] for i, j in res.matches))
+        r, c = linear_sum_assignment(weights, maximize=True)
+        idtp = int(weights[r, c].sum())
 
     idfp = total_pred - idtp
     idfn = total_gt - idtp

@@ -13,30 +13,27 @@ def brute_force_assignment(costs):
     """Exhaustive maximum-cardinality minimum-cost matching.
 
     costs: list of row lists; float('inf') marks a forbidden pairing.
-    Returns (cardinality, total_cost, pairs) where the total is accumulated
-    in ascending row order and pairs is the lexicographically first optimum
-    in permutation order. Only sensible up to ~7x7.
+    Returns (cardinality, total_cost, pairs): pairs is the lexicographically
+    smallest row-sorted pair list among the optima, whose totals are compared
+    exactly with math.fsum, and total_cost is its sum accumulated in
+    ascending row order. Only sensible up to ~7x7.
     """
     rows = len(costs)
     cols = len(costs[0]) if rows else 0
-    n = max(rows, cols)
-    best_key = None
-    best_pairs = []
-    for perm in itertools.permutations(range(n)):
-        pairs = []
-        total = 0.0
-        for i in range(rows):
-            j = perm[i]
-            if j < cols and math.isfinite(costs[i][j]):
-                pairs.append((i, j))
-                total += costs[i][j]
-        key = (-len(pairs), total)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pairs = pairs
-    if best_key is None:
-        return 0, 0.0, []
-    return len(best_pairs), best_key[1], best_pairs
+    best = None
+    for perm in itertools.permutations(range(max(rows, cols))):
+        pairs = [
+            (i, perm[i]) for i in range(rows)
+            if perm[i] < cols and math.isfinite(costs[i][perm[i]])
+        ]
+        key = (-len(pairs), math.fsum(costs[i][j] for i, j in pairs), pairs)
+        if best is None or key < best:
+            best = key
+    pairs = best[2]
+    total = 0.0
+    for i, j in pairs:
+        total += costs[i][j]
+    return len(pairs), total, pairs
 
 
 def direct_weighted_feature(history, tau):

@@ -67,6 +67,8 @@ def test_validation():
         solve_assignment(np.array([[1.0, -0.5]]))
     with pytest.raises(ValueError):
         solve_assignment(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError):  # only +inf means FORBIDDEN
+        solve_assignment(np.array([[-np.inf, 1.0]]))
 
 
 def test_deterministic_tie_break_low_row_then_low_col():
@@ -86,6 +88,11 @@ def test_deterministic_tie_break_low_row_then_low_col():
     res = solve_assignment(np.array([[1.0, 2.0], [2.0, 3.0]]))
     assert res.matches == ((0, 0), (1, 1))
     assert res.total_cost == 4.0
+
+    # the lower row takes its lowest column even though that pushes the
+    # other row to a higher one
+    res = solve_assignment(np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+    assert res.matches == ((0, 0), (1, 2))
 
 
 def test_repeated_runs_identical():
@@ -108,6 +115,8 @@ def test_gate_costs():
     assert costs[0, 1] == 0.9
     with pytest.raises(ValueError):
         gate_costs(costs, -0.1)
+    with pytest.raises(ValueError):
+        gate_costs(costs, float("nan"))
 
 
 def _random_matrix(rng):
@@ -125,9 +134,23 @@ def test_matches_brute_force_on_random_matrices():
     for _ in range(300):
         costs = _random_matrix(rng)
         res = solve_assignment(costs)
-        card, total, _ = brute_force_assignment(costs.tolist())
+        card, total, pairs = brute_force_assignment(costs.tolist())
         assert len(res.matches) == card
         assert res.total_cost == total  # exact, same accumulation order
+        assert res.matches == tuple(pairs)
+
+
+def test_matches_brute_force_pairs_on_tie_heavy_matrices():
+    # Integer costs 0-2 make many optima tie exactly; the solver must return
+    # the oracle's lexicographically smallest one every time.
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        rows, cols = rng.integers(1, 6, size=2)
+        costs = rng.integers(0, 3, (rows, cols)).astype(float)
+        costs[rng.random((rows, cols)) < 0.2] = FORBIDDEN
+        res = solve_assignment(costs)
+        card, total, pairs = brute_force_assignment(costs.tolist())
+        assert (res.matches, res.total_cost) == (tuple(pairs), total), costs
 
 
 def test_row_permutation_permutes_matches():
