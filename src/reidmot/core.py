@@ -45,17 +45,36 @@ class BBox:
         return BBox(self.x + dx, self.y + dy, self.w, self.h)
 
 
+def _box_columns(boxes) -> np.ndarray:
+    """The x, y, w, h of `boxes` as four float64 rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4).T
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Intersection-over-union of every box in `a` with every box in `b`.
+
+    Returns a (len(a), len(b)) float64 array, each entry in [0, 1]. Boxes
+    that only share an edge, or do not touch, have IoU exactly 0.0.
+    """
+    ax, ay, aw, ah = _box_columns(a)
+    bx, by, bw, bh = _box_columns(b)
+    # Overflowing boxes (sides near 1e308) stay quiet: their entries clamp to
+    # 1.0 or read 0.0, as the one-pair float formula gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.minimum((ax + aw)[:, None], bx + bw) - np.maximum(ax[:, None], bx)
+        iy = np.minimum((ay + ah)[:, None], by + bh) - np.maximum(ay[:, None], by)
+        inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+        union = (aw * ah)[:, None] + bw * bh - inter
+        out = np.zeros(inter.shape)
+        np.divide(inter, union, out=out, where=inter > 0)
+        # (x + w) - x can exceed w in floats, pushing identical boxes past
+        # 1.0; fmin, unlike minimum, also clamps an overflow's nan to 1.0.
+        return np.fmin(1.0, out, out=out)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes. Always in [0, 1]."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    if ix <= 0:
-        return 0.0
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if iy <= 0:
-        return 0.0
-    inter = ix * iy
-    # (x + w) - x can exceed w in floats, pushing identical boxes past 1.0
-    return min(1.0, inter / (a.area + b.area - inter))
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def normalize_embedding(raw, dim: int | None = None) -> np.ndarray:

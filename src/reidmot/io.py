@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry, group_by_frame, iou, normalize_embedding
+from .core import BBox, Detection, FrameInput, GtEntry, group_by_frame, iou_matrix, normalize_embedding
 from .errors import (
     ConfigError,
     DuplicateEntryError,
@@ -250,17 +250,22 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
 
     Candidates are visited in descending score order (ties: earlier file
     order first); a candidate is kept iff its IoU with every already-kept box
-    of the same class is <= iou_thresh. Returns kept detections in visit
-    order, so the result is score-sorted.
+    of the same class is <= iou_thresh, so keeping a box suppresses every box
+    of its class that overlaps it by more. The frame's IoU matrix is built
+    once. Returns kept detections in visit order, so the result is
+    score-sorted.
     """
     _check_iou_thresh(iou_thresh)
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    boxes = [d.bbox for d in detections]
+    classes = np.array([d.class_id for d in detections])
+    # overlaps[i, j]: keeping i suppresses j
+    overlaps = (iou_matrix(boxes, boxes) > iou_thresh) & (classes[:, None] == classes)
+    suppressed = np.zeros(len(detections), dtype=bool)
     kept: list[Detection] = []
-    for i in order:
-        cand = detections[i]
-        if all(iou(cand.bbox, k.bbox) <= iou_thresh
-               for k in kept if k.class_id == cand.class_id):
-            kept.append(cand)
+    for i in sorted(range(len(detections)), key=lambda i: -detections[i].score):
+        if not suppressed[i]:
+            kept.append(detections[i])
+            suppressed |= overlaps[i]
     return kept
 
 

@@ -4,7 +4,8 @@ Frame-level matching follows the CLEAR protocol: a ground-truth identity keeps
 the predicted track it was last paired with as long as their boxes still
 overlap at the gate, and only the leftovers go through a fresh Hungarian match
 on 1 - IoU. MOTP here is the mean matched *distance* (1 - IoU), so 0.0 is
-perfect and lower is better.
+perfect and lower is better. Each frame's gt x pred IoU matrix is built once
+(`core.iou_matrix`); `evaluate` shares it between CLEAR-MOT and IDF1.
 """
 
 from collections import Counter
@@ -14,8 +15,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assign import gate_costs, solve_assignment
-from .core import group_by_frame, iou
-from .errors import ConfigError, EmptyGtError
+# Nothing here calls `iou`; it is imported so that callers which patch
+# `metrics.iou`, such as the benchmark's call counter, still find it.
+from .core import group_by_frame, iou, iou_matrix  # noqa: F401
+from .errors import ConfigError, DuplicateEntryError, EmptyGtError
 
 
 @dataclass(frozen=True)
@@ -43,71 +46,91 @@ class EvalReport:
     num_gt: int
 
 
-def _check_inputs(gt, iou_gate: float):
+def _check_inputs(gt, pred, iou_gate: float):
     if not (0.0 < iou_gate <= 1.0):
         raise ConfigError(f"iou_gate must be in (0, 1], got {iou_gate}")
     if not gt:
         raise EmptyGtError("ground truth is empty")
+    _check_unique(((e.frame, e.identity) for e in gt), "ground truth", "identity")
+    _check_unique(((o.frame, o.track_id) for o in pred), "predictions", "track id")
+
+
+def _check_unique(keys, what: str, id_name: str):
+    """Raise DuplicateEntryError for the first (frame, id) that repeats."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise DuplicateEntryError(
+                f"{what}: duplicate entry for frame {key[0]}, {id_name} {key[1]}"
+            )
+        seen.add(key)
+
+
+def _frame_ious(gt, pred):
+    """Yield (gts, preds, ious) for every frame either side has, ascending.
+
+    gts are sorted by identity, preds keep their input order, and ious is
+    their (len(gts), len(preds)) IoU matrix.
+    """
+    gt_frames = group_by_frame(gt)
+    pred_frames = group_by_frame(pred)
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gts = sorted(gt_frames.get(frame, []), key=lambda e: e.identity)
+        preds = pred_frames.get(frame, [])
+        yield gts, preds, iou_matrix([g.bbox for g in gts], [p.bbox for p in preds])
 
 
 def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
     """CLEAR-MOT counts for one sequence.
 
-    gt is a list of GtEntry, pred a list of TrackOutput. An identity switch is
-    counted whenever a matched ground-truth identity is paired with a track id
-    different from the one of its most recent earlier pairing.
+    gt is a list of GtEntry, pred a list of TrackOutput; a (frame, identity)
+    or (frame, track id) that repeats raises DuplicateEntryError. An identity
+    switch is counted whenever a matched ground-truth identity is paired with
+    a track id different from the one of its most recent earlier pairing.
     """
-    _check_inputs(gt, iou_gate)
-    num_gt = len(gt)
+    _check_inputs(gt, pred, iou_gate)
+    return _clear_mot(_frame_ious(gt, pred), len(gt), iou_gate)
 
-    gt_frames = group_by_frame(gt)
-    pred_frames = group_by_frame(pred)
-    all_frames = sorted(set(gt_frames) | set(pred_frames))
 
+def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
     last_pairing: dict[int, int] = {}  # gt identity -> track id of last match
     fp = fn = idsw = 0
     dist_sum = 0.0
     n_matches = 0
 
-    for frame in all_frames:
-        gts = gt_frames.get(frame, [])
-        preds = pred_frames.get(frame, [])
-        preds_by_id = {p.track_id: p for p in preds}
-
-        pairs = []  # (gt entry, pred output)
-        free_gts = []
-        taken_tids = set()
+    for gts, preds, ious in frames:
+        col_of = {p.track_id: j for j, p in enumerate(preds)}
+        pairs = []  # (gt row, pred column)
+        free_rows = []
+        taken = set()
         # Keep last-known pairings that still hold up at the gate.
-        for g in sorted(gts, key=lambda e: e.identity):
-            tid = last_pairing.get(g.identity)
-            if tid is not None and tid in preds_by_id and tid not in taken_tids \
-                    and iou(g.bbox, preds_by_id[tid].bbox) >= iou_gate:
-                pairs.append((g, preds_by_id[tid]))
-                taken_tids.add(tid)
+        for i, g in enumerate(gts):
+            j = col_of.get(last_pairing.get(g.identity))
+            if j is not None and j not in taken and ious[i, j] >= iou_gate:
+                pairs.append((i, j))
+                taken.add(j)
             else:
-                free_gts.append(g)
-        free_preds = [p for p in preds if p.track_id not in taken_tids]
+                free_rows.append(i)
+        free_cols = [j for j in range(len(preds)) if j not in taken]
 
         # Fresh Hungarian match on whatever is left.
-        if free_gts and free_preds:
-            costs = np.array(
-                [[1.0 - iou(g.bbox, p.bbox) for p in free_preds] for g in free_gts]
-            )
+        if free_rows and free_cols:
+            costs = 1.0 - ious[free_rows][:, free_cols]
             res = solve_assignment(gate_costs(costs, 1.0 - iou_gate))
-            for gi, pj in res.matches:
-                pairs.append((free_gts[gi], free_preds[pj]))
+            pairs += [(free_rows[r], free_cols[c]) for r, c in res.matches]
             fn += len(res.unmatched_rows)
             fp += len(res.unmatched_cols)
         else:
-            fn += len(free_gts)
-            fp += len(free_preds)
+            fn += len(free_rows)
+            fp += len(free_cols)
 
-        for g, p in pairs:
-            prev = last_pairing.get(g.identity)
-            if prev is not None and prev != p.track_id:
+        for i, j in pairs:
+            identity, tid = gts[i].identity, preds[j].track_id
+            prev = last_pairing.get(identity)
+            if prev is not None and prev != tid:
                 idsw += 1
-            last_pairing[g.identity] = p.track_id
-            dist_sum += 1.0 - iou(g.bbox, p.bbox)
+            last_pairing[identity] = tid
+            dist_sum += 1.0 - float(ious[i, j])
             n_matches += 1
 
     motp = dist_sum / n_matches if n_matches else 0.0
@@ -122,17 +145,15 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
     of frames in which both appear with box IoU >= iou_gate; the assignment
     maximizes total overlap. Conventions: empty predictions give idp = 0.
     """
-    _check_inputs(gt, iou_gate)
-    total_gt = len(gt)
-    total_pred = len(pred)
+    _check_inputs(gt, pred, iou_gate)
+    return _idf1(_frame_ious(gt, pred), len(gt), len(pred), iou_gate)
 
+
+def _idf1(frames, total_gt: int, total_pred: int, iou_gate: float):
     overlap = Counter()
-    pred_frames = group_by_frame(pred)
-    for frame, gts in group_by_frame(gt).items():
-        for g in gts:
-            for p in pred_frames.get(frame, []):
-                if iou(g.bbox, p.bbox) >= iou_gate:
-                    overlap[(g.identity, p.track_id)] += 1
+    for gts, preds, ious in frames:
+        for i, j in zip(*np.nonzero(ious >= iou_gate)):
+            overlap[(gts[i].identity, preds[j].track_id)] += 1
 
     idtp = 0
     if overlap:
@@ -155,9 +176,14 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
 
 
 def evaluate(gt, pred, iou_gate: float = 0.5) -> EvalReport:
-    """Full report: CLEAR-MOT counts plus IDF1 at the same gate."""
-    cm = clear_mot(gt, pred, iou_gate)
-    f1, idp, idr = idf1(gt, pred, iou_gate)
+    """Full report: CLEAR-MOT counts plus IDF1 at the same gate.
+
+    Each frame's IoU matrix is built once and read by both.
+    """
+    _check_inputs(gt, pred, iou_gate)
+    frames = list(_frame_ious(gt, pred))
+    cm = _clear_mot(frames, len(gt), iou_gate)
+    f1, idp, idr = _idf1(frames, len(gt), len(pred), iou_gate)
     return EvalReport(
         mota=cm.mota,
         motp=cm.motp,

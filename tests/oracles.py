@@ -1,12 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: the assignment oracle is
-an exhaustive permutation search, and the feature oracle is a plain-Python
-re-derivation with fsum accumulation. If the fast paths drift, these catch it.
+an exhaustive permutation search, the feature oracle is a plain-Python
+re-derivation with fsum accumulation, and the box-overlap oracles (IoU,
+CLEAR-MOT, IDF1, NMS) are the one-pair-at-a-time forms the package used
+before it built IoU matrices. If the fast paths drift, these catch it.
 """
 
 import itertools
 import math
+
+from scipy.optimize import linear_sum_assignment
 
 
 def brute_force_assignment(costs):
@@ -55,3 +59,114 @@ def direct_weighted_feature(history, tau):
     ]
     norm = math.sqrt(math.fsum(v * v for v in mean))
     return [v / norm for v in mean]
+
+
+def scalar_iou(a, b):
+    """Intersection-over-union of two boxes (x, y, w, h attributes), one pair."""
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    if ix <= 0:
+        return 0.0
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    if iy <= 0:
+        return 0.0
+    inter = ix * iy
+    # (x + w) - x can exceed w in floats, pushing identical boxes past 1.0
+    return min(1.0, inter / (a.w * a.h + b.w * b.h - inter))
+
+
+def _by_frame(records):
+    frames = {}
+    for r in records:
+        frames.setdefault(r.frame, []).append(r)
+    return frames
+
+
+def reference_evaluate(gt, pred, iou_gate):
+    """CLEAR-MOT and IDF1 of one sequence, every IoU taken pair by pair.
+
+    Frames ascend; a gt identity keeps its last track when their IoU still
+    clears the gate (identities visited in ascending order), the rest go to
+    brute_force_assignment on 1 - IoU with pairs past 1 - iou_gate forbidden.
+    IDF1 counts per-frame (identity, track) overlaps at the gate and takes
+    scipy's maximum-weight assignment. Returns a dict with EvalReport's fields.
+    """
+    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
+    last_pairing = {}
+    fp = fn = idsw = 0
+    dist_sum = 0.0
+    n_matches = 0
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gts = gt_frames.get(frame, [])
+        preds = pred_frames.get(frame, [])
+        preds_by_id = {p.track_id: p for p in preds}
+        pairs = []
+        free_gts = []
+        taken_tids = set()
+        for g in sorted(gts, key=lambda e: e.identity):
+            tid = last_pairing.get(g.identity)
+            if tid is not None and tid in preds_by_id and tid not in taken_tids \
+                    and scalar_iou(g.bbox, preds_by_id[tid].bbox) >= iou_gate:
+                pairs.append((g, preds_by_id[tid]))
+                taken_tids.add(tid)
+            else:
+                free_gts.append(g)
+        free_preds = [p for p in preds if p.track_id not in taken_tids]
+        if free_gts and free_preds:
+            costs = []
+            for g in free_gts:
+                row = [1.0 - scalar_iou(g.bbox, p.bbox) for p in free_preds]
+                costs.append([c if c <= 1.0 - iou_gate else float("inf") for c in row])
+            card, _, matches = brute_force_assignment(costs)
+            pairs += [(free_gts[gi], free_preds[pj]) for gi, pj in matches]
+            fn += len(free_gts) - card
+            fp += len(free_preds) - card
+        else:
+            fn += len(free_gts)
+            fp += len(free_preds)
+        for g, p in pairs:
+            prev = last_pairing.get(g.identity)
+            if prev is not None and prev != p.track_id:
+                idsw += 1
+            last_pairing[g.identity] = p.track_id
+            dist_sum += 1.0 - scalar_iou(g.bbox, p.bbox)
+            n_matches += 1
+
+    overlap = {}
+    for frame, gts in gt_frames.items():
+        for g in gts:
+            for p in pred_frames.get(frame, []):
+                if scalar_iou(g.bbox, p.bbox) >= iou_gate:
+                    key = (g.identity, p.track_id)
+                    overlap[key] = overlap.get(key, 0) + 1
+    idtp = 0
+    if overlap:
+        identities = sorted({i for i, _ in overlap})
+        tids = sorted({t for _, t in overlap})
+        weights = [[overlap.get((i, t), 0) for t in tids] for i in identities]
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        idtp = sum(weights[r][c] for r, c in zip(rows, cols))
+    idfp, idfn = len(pred) - idtp, len(gt) - idtp
+    return {
+        "mota": 1.0 - (fp + fn + idsw) / len(gt),
+        "motp": dist_sum / n_matches if n_matches else 0.0,
+        "fp": fp,
+        "fn": fn,
+        "idsw": idsw,
+        "idf1": 2.0 * idtp / (2.0 * idtp + idfp + idfn) if (idtp or idfp or idfn) else 0.0,
+        "idp": idtp / len(pred) if pred else 0.0,
+        "idr": idtp / len(gt),
+        "num_gt": len(gt),
+    }
+
+
+def greedy_nms(detections, iou_thresh):
+    """Per-class greedy NMS: visit by descending score (ties: input order),
+    keep a box iff its IoU with every kept box of its class is <= iou_thresh."""
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    kept = []
+    for i in order:
+        cand = detections[i]
+        if all(scalar_iou(cand.bbox, k.bbox) <= iou_thresh
+               for k in kept if k.class_id == cand.class_id):
+            kept.append(cand)
+    return kept

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidmot import (
     BBox,
@@ -14,6 +16,9 @@ from reidmot import (
     iou,
     normalize_embedding,
 )
+from reidmot.core import iou_matrix
+
+from oracles import scalar_iou
 
 
 def test_bbox_requires_positive_sides():
@@ -65,6 +70,67 @@ def test_iou_containment():
     outer = BBox(0, 0, 10, 10)
     inner = BBox(0, 0, 5, 10)
     assert iou(outer, inner) == pytest.approx(0.5)
+
+
+def _reference_matrix(a, b):
+    """scalar_iou pair by pair. Where both areas underflow to 0 the scalar
+    form divided 0 by 0; the kernel reads that as no overlap."""
+    def one(x, y):
+        try:
+            return scalar_iou(x, y)
+        except ZeroDivisionError:
+            return 0.0
+    return np.array([[one(x, y) for y in b] for x in a], dtype=np.float64).reshape(len(a), len(b))
+
+
+def _same_bits(a, b):
+    got = iou_matrix(a, b)
+    want = _reference_matrix(a, b)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+# Small integer boxes share edges, nest and repeat; the finite floats reach
+# overflow and underflow of the areas.
+grid = st.integers(-6, 6).map(float)
+grid_side = st.integers(1, 6).map(float)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+side = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+kernel_boxes = st.one_of(st.builds(BBox, grid, grid, grid_side, grid_side),
+                         st.builds(BBox, finite, finite, side, side),
+                         st.builds(BBox, st.floats(-2e3, 2e3), st.floats(-2e3, 2e3),
+                                   st.floats(0.5, 100), st.floats(0.5, 100)))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(st.lists(kernel_boxes, max_size=8), st.lists(kernel_boxes, max_size=8))
+def test_iou_matrix_matches_scalar_iou_bit_for_bit(a, b):
+    _same_bits(a, b)
+    _same_bits(a + b, a + b)
+
+
+def test_iou_matrix_hand_cases():
+    a = BBox(0, 0, 2, 2)
+    edge_x, edge_y, corner = BBox(2, 0, 2, 2), BBox(0, -2, 2, 2), BBox(2, 2, 1, 1)
+    outer, inner = BBox(0, 0, 10, 10), BBox(0, 0, 5, 10)
+    same = BBox(1008.4550966083378, 1008.4550966083378, 40.0, 40.0)
+    m = iou_matrix([a, outer, same], [edge_x, edge_y, corner, inner, same])
+    assert m.shape == (3, 5)
+    assert m[0, :3].tolist() == [0.0, 0.0, 0.0]  # shared edges do not intersect
+    assert m[1, 3] == 0.5  # containment: the area ratio
+    # (x + w) - x = 40.000000000000114 here; the clamp keeps it at 1.0
+    assert m[2, 4] == 1.0
+    _same_bits([a, outer, same], [edge_x, edge_y, corner, inner, same])
+    for n in (0, 1, 3):
+        assert iou_matrix([], [a] * n).shape == (0, n)
+        assert iou_matrix([a] * n, []).shape == (n, 0)
+        assert iou_matrix([], [a] * n).dtype == np.float64
+
+
+def test_iou_is_the_kernel_on_one_pair():
+    a, b = BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)
+    assert type(iou(a, b)) is float
+    assert iou(a, b) == iou_matrix([a], [b])[0, 0] == scalar_iou(a, b)
 
 
 def test_normalize_embedding_unit_norm():

@@ -25,7 +25,10 @@ from reidmot import (
     parse_gt,
     write_results,
 )
+import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
+
+from oracles import greedy_nms
 
 
 def test_parse_detections_basic():
@@ -303,6 +306,20 @@ def test_nms_idempotent_and_subset_on_random_frames():
                     assert iou(kept[i].bbox, kept[j].bbox) <= thresh
 
 
+def test_nms_frames_calls_nms_once_per_frame(monkeypatch):
+    calls = []
+    nms_one = seqio.nms
+
+    def counted(dets, thresh):
+        calls.append(len(dets))
+        return nms_one(dets, thresh)
+
+    monkeypatch.setattr(seqio, "nms", counted)
+    groups = [[_d(0, 0.9), _d(1, 0.8)], [], [_d(5, 0.5)]]
+    assert seqio.nms_frames(groups, 0.5) == [[groups[0][0]], [], groups[2]]
+    assert calls == [2, 0, 1]
+
+
 # Property tests. Fixed settings keep them deterministic and quick.
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
 
@@ -374,3 +391,21 @@ def test_gt_rows_parse_valid_or_raise_parse_error(lines):
     assert len(entries) == len(lines)
     for e in entries:
         assert _box_ok(e.bbox) and e.frame >= 1 and e.identity >= 1 and e.class_id >= 0
+
+
+# One frame of several classes: boxes on a small grid repeat and tie, and
+# scores from a short list tie too.
+nms_frames_strategy = st.lists(
+    st.builds(lambda x, y, w, h, score, cls: Detection(1, BBox(x, y, w, h), score, cls),
+              st.integers(0, 6).map(float), st.integers(0, 6).map(float),
+              st.sampled_from([2.0, 3.0, 4.0]), st.sampled_from([2.0, 3.0, 4.0]),
+              st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.integers(0, 2)),
+    max_size=14)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(nms_frames_strategy, st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]),
+                                      st.floats(0.0, 1.0)))
+def test_nms_equals_greedy_reference(dets, thresh):
+    kept = nms(dets, thresh)
+    assert [id(d) for d in kept] == [id(d) for d in greedy_nms(dets, thresh)]

@@ -1,10 +1,14 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidmot import (
     BBox,
+    DuplicateEntryError,
     EmptyGtError,
     GtEntry,
     TrackOutput,
@@ -16,7 +20,7 @@ from reidmot import (
 )
 from reidmot.io import load_text
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, reference_evaluate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BOX = BBox(0, 0, 10, 10)
@@ -227,3 +231,60 @@ def test_iou_gate_validation():
         clear_mot(g, [], iou_gate=0.0)
     with pytest.raises(ValueError):
         idf1(g, [], iou_gate=1.5)
+
+
+def test_repeated_frame_and_id_raises():
+    b = BBox(0, 0, 10, 10)
+    g = [GtEntry(1, 1, b), GtEntry(2, 1, b)]
+    # unchecked, the stray box is neither a match nor an FP: MOTA 1.0, FP 0
+    p = [TrackOutput(1, 7, b, 1.0), TrackOutput(2, 7, BBox(50, 50, 10, 10), 1.0),
+         TrackOutput(2, 7, b, 1.0)]
+    for fn in (evaluate, clear_mot, idf1):
+        with pytest.raises(DuplicateEntryError, match="frame 2, track id 7"):
+            fn(g, p)
+        with pytest.raises(DuplicateEntryError, match="frame 2, identity 1"):
+            fn(g + [GtEntry(2, 1, BBox(50, 50, 10, 10))], p[:2])
+
+
+@st.composite
+def sequences(draw):
+    """gt and pred over 1-4 frames, at most 5 boxes a side per frame.
+
+    Boxes sit on a small grid so IoUs tie, repeat and land on the gate;
+    predictions copy, shift or miss the frame's gt boxes, and their track
+    ids are redrawn every frame so pairings persist, switch and break.
+    """
+    grid = st.integers(0, 8).map(float)
+    box = st.builds(BBox, grid, grid, st.sampled_from([2.0, 3.0, 4.0]),
+                    st.sampled_from([2.0, 3.0, 4.0]))
+    gt, pred = [], []
+    for frame in range(1, draw(st.integers(1, 4)) + 1):
+        ids = draw(st.lists(st.integers(1, 4), unique=True, max_size=5))
+        gts = [GtEntry(frame, i, draw(box)) for i in ids]
+        gt += gts
+        tids = draw(st.lists(st.integers(1, 5), unique=True, max_size=5))
+        for t in tids:
+            if gts and not draw(st.booleans()):
+                b = draw(st.sampled_from(gts)).bbox
+                b = b.shifted(draw(st.sampled_from([0, 0, 1])), draw(st.sampled_from([0, 1])))
+            else:
+                b = draw(box)
+            pred.append(TrackOutput(frame, t, b, 1.0))
+    if not gt:
+        gt = [GtEntry(1, 1, draw(box))]
+    if draw(st.integers(0, 5)) == 5:
+        pred = []
+    return gt, pred
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(sequences(), st.one_of(st.sampled_from([1.0, 0.5, 1 / 3, 1 / 7, 1e-9]),
+                              st.floats(0.0, 1.0, exclude_min=True)))
+def test_evaluate_equals_pairwise_reference(seq, gate):
+    g, p = seq
+    want = reference_evaluate(g, p, gate)
+    assert dataclasses.asdict(evaluate(g, p, gate)) == want  # MOTP to the bit
+    cm = clear_mot(g, p, gate)
+    assert (cm.mota, cm.motp, cm.fp, cm.fn, cm.idsw) == tuple(
+        want[k] for k in ("mota", "motp", "fp", "fn", "idsw"))
+    assert idf1(g, p, gate) == (want["idf1"], want["idp"], want["idr"])
