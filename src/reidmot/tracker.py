@@ -24,6 +24,7 @@ from .core import (
     normalize_embedding,
 )
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     EmptyHistoryError,
     MissingEmbeddingError,
@@ -49,8 +50,10 @@ def weighted_feature(history, tau: int) -> np.ndarray:
     history is a sequence of (embedding, score) pairs, oldest first. Each
     embedding is weighted by its detection score (a confident sighting should
     pull the representation harder than a dubious one), the weighted mean is
-    renormalized to unit length.
+    renormalized to unit length. Raises ConfigError when tau < 1.
     """
+    if tau < 1:
+        raise ConfigError(f"tau must be >= 1, got {tau}")
     return _weighted_means([list(history)[-tau:]])[0]
 
 
@@ -127,37 +130,22 @@ class Track:
 
     Keeps a bounded ring of the last `tau` (embedding, score) observations;
     `feature` is the score-weighted mean of that ring (see weighted_feature).
-    Constructing a track or calling `_observe` refreshes the feature at once;
-    Tracker.step instead records every match of a frame first and then
-    refreshes the features of all the tracks it matched or founded in one
-    batched pass. While a track is lost the ring is not touched, so the
-    feature stays frozen at its last matched appearance.
+    Tracker.step is its whole lifecycle: it founds a track on a detection
+    and records each later match with `_record`, both leaving `feature` as
+    it was (None for a new track), then refreshes the features of every
+    track it matched or founded that frame in one batched pass
+    (_refresh_features). While a track is lost the ring is not touched, so
+    the feature stays frozen at its last matched appearance. Only the tracks
+    in `Tracker.tracks` are usable: a `Track(...)` built elsewhere keeps
+    `feature` None and cannot go into build_cost_matrix.
     """
 
     def __init__(self, track_id: int, detection: Detection, frame: int, tau: int):
-        self._found(track_id, detection, frame, tau)
-        _refresh_features([self])
-
-    @classmethod
-    def _unrefreshed(cls, track_id: int, detection: Detection, frame: int,
-                     tau: int) -> "Track":
-        """A track founded on `detection` whose feature the caller refreshes."""
-        track = cls.__new__(cls)
-        track._found(track_id, detection, frame, tau)
-        return track
-
-    def _found(self, track_id: int, detection: Detection, frame: int, tau: int):
         self.track_id = track_id
         self.class_id = detection.class_id
-        self.tau = tau
         self.history: deque = deque(maxlen=tau)
-        self.start_frame = frame
         self.feature: np.ndarray | None = None
         self._record(detection, frame)
-
-    def _observe(self, detection: Detection, frame: int):
-        self._record(detection, frame)
-        _refresh_features([self])
 
     def _record(self, detection: Detection, frame: int):
         """The bookkeeping of a match; the feature is left as it was."""
@@ -168,11 +156,10 @@ class Track:
         self.last_frame = frame
 
     def _miss(self, max_lost_age: int):
+        """An unmatched frame of a live track: lost, or removed once too old."""
         self.frames_since_match += 1
-        if self.state is TrackState.ACTIVE:
-            self.state = TrackState.LOST
-        if self.state is TrackState.LOST and self.frames_since_match > max_lost_age:
-            self.state = TrackState.REMOVED
+        self.state = (TrackState.REMOVED if self.frames_since_match > max_lost_age
+                      else TrackState.LOST)
 
     def __repr__(self):
         return (
@@ -186,6 +173,8 @@ def build_cost_matrix(tracks, detections, per_class: bool = False) -> np.ndarray
     """Appearance cost matrix: entry (i, j) = 1 - cos(track_i, det_j) in [0, 2].
 
     With per_class, pairs whose class ids differ are FORBIDDEN outright.
+    `tracks` must come from `Tracker.tracks`: their features are set by the
+    refresh at the end of each `Tracker.step`.
     """
     costs = np.empty((len(tracks), len(detections)), dtype=np.float64)
     if costs.size == 0:
@@ -206,7 +195,7 @@ def build_cost_matrix(tracks, detections, per_class: bool = False) -> np.ndarray
 
 @dataclass
 class StepStats:
-    """Per-frame association tallies, mostly for CLI diagnostics."""
+    """Association tallies of one frame, kept as Tracker.last_stats."""
 
     frame: int
     matched_stage1: int = 0
@@ -223,6 +212,9 @@ class Tracker:
         self.tracks: list[Track] = []
         self._next_id = 1
         self._last_frame: int | None = None
+        # The embedding length every detection must have: config.embedding_dim,
+        # else the length of the first embedding a step accepted.
+        self._dim: int | None = self.config.embedding_dim
         self.last_stats: StepStats | None = None
 
     @property
@@ -230,7 +222,7 @@ class Tracker:
         return [t for t in self.tracks if t.state is not TrackState.REMOVED]
 
     def step(self, frame_input: FrameInput) -> list[TrackOutput]:
-        """Advance one frame and return the outputs of every matched track.
+        """Advance one frame; return the outputs of every matched or founded track.
 
         Per frame: split detections into score bands; stage 1 assigns
         high-band detections to all live (active or lost) tracks under the
@@ -239,10 +231,17 @@ class Tracker:
         (with bytetrack_stage2 the pool is the low band only). Matched tracks
         absorb their detection; unmatched tracks age and eventually drop off;
         unmatched high-band detections above min_init_score found new tracks.
-        Low-band detections never found tracks. Matching and founding only
-        record the detection; the features of all matched and founded tracks
-        are then refreshed in one batched pass (see _weighted_means), before
-        the outputs are built.
+        Low-band detections never found tracks. This is the one place a
+        track is founded, recorded and refreshed: matching and founding only
+        record the detection, then the features of all matched and founded
+        tracks are refreshed in one batched pass (see _weighted_means), and
+        the outputs are built in track-id order.
+
+        The embeddings are used as given, so they should be unit-norm (see
+        normalize_embedding). The whole frame is checked before any state
+        changes: a frame that raises NonMonotonicFrameError,
+        MissingEmbeddingError or DimensionMismatchError leaves the tracker
+        as it was.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -250,17 +249,23 @@ class Tracker:
             raise NonMonotonicFrameError(
                 f"frame {frame} after frame {self._last_frame}"
             )
-        self._last_frame = frame
-        stats = StepStats(frame=frame)
-
+        dim = self._dim
         for j, det in enumerate(frame_input.detections):
             if det.embedding is None:
                 raise MissingEmbeddingError(frame, j)
-            if cfg.embedding_dim is not None and det.embedding.shape[0] != cfg.embedding_dim:
+            shape = det.embedding.shape
+            if len(shape) != 1:
                 raise DimensionMismatchError(
-                    f"frame {frame}: embedding length {det.embedding.shape[0]}, "
-                    f"expected {cfg.embedding_dim}"
+                    f"frame {frame}: embedding must be 1-D, got shape {shape}"
                 )
+            if dim is None:
+                dim = shape[0]
+            if shape[0] != dim:
+                raise DimensionMismatchError(
+                    f"frame {frame}: embedding length {shape[0]}, expected {dim}"
+                )
+        self._last_frame = frame
+        self._dim = dim
 
         high, low, _ = split_by_score(frame_input.detections, cfg)
         live = self.live_tracks
@@ -271,11 +276,7 @@ class Tracker:
             gate_costs(build_cost_matrix(live, high, cfg.per_class),
                        1.0 - cfg.sim_gate_high)
         )
-        matched: list[tuple[Track, Detection]] = []
-        for ti, dj in res1.matches:
-            matched.append((live[ti], high[dj]))
-        stats.matched_stage1 = len(res1.matches)
-
+        matched = [(live[i], high[j]) for i, j in res1.matches]
         remaining = [live[i] for i in res1.unmatched_rows]
         unmatched_high = [high[j] for j in res1.unmatched_cols]
 
@@ -286,37 +287,34 @@ class Tracker:
             gate_costs(build_cost_matrix(remaining, pool, cfg.per_class),
                        1.0 - cfg.sim_gate_low)
         )
-        for ti, dj in res2.matches:
-            matched.append((remaining[ti], pool[dj]))
-        stats.matched_stage2 = len(res2.matches)
+        matched += [(remaining[i], pool[j]) for i, j in res2.matches]
+        stats = StepStats(frame=frame, matched_stage1=len(res1.matches),
+                          matched_stage2=len(res2.matches))
 
         for track, det in matched:
             track._record(det, frame)
-
-        matched_ids = {t.track_id for t, _ in matched}
-        for track in live:
-            if track.track_id not in matched_ids:
-                track._miss(cfg.max_lost_age)
-                if track.state is TrackState.REMOVED:
-                    stats.removed += 1
+        for i in res2.unmatched_rows:
+            remaining[i]._miss(cfg.max_lost_age)
+            stats.removed += remaining[i].state is TrackState.REMOVED
 
         # Founding: only confident leftovers above the init floor. The low
-        # band can sustain tracks but never create them.
+        # band can sustain tracks but never create them. Without
+        # bytetrack_stage2 the confident leftovers head the pool.
         if cfg.bytetrack_stage2:
             leftovers = unmatched_high
         else:
-            taken = {dj for _, dj in res2.matches}
-            leftovers = [pool[j] for j in range(len(unmatched_high)) if j not in taken]
+            leftovers = [pool[j] for j in res2.unmatched_cols if j < len(unmatched_high)]
         new_tracks = []
         for det in leftovers:
             if det.score >= cfg.min_init_score:
-                new_tracks.append(Track._unrefreshed(self._next_id, det, frame, cfg.tau))
+                new_tracks.append(Track(self._next_id, det, frame, cfg.tau))
                 self._next_id += 1
 
         emitting = [t for t, _ in matched] + new_tracks
         _refresh_features(emitting)
         self.tracks.extend(new_tracks)
         stats.spawned = len(new_tracks)
+        # Stage-2 matches can hold lower ids than stage-1 ones.
         emitting.sort(key=lambda t: t.track_id)
         outputs = []
         for track in emitting:
@@ -340,5 +338,4 @@ def run_sequence(frames, config: TrackerConfig | None = None) -> list[TrackOutpu
     outputs: list[TrackOutput] = []
     for frame_input in frames:
         outputs.extend(tracker.step(frame_input))
-    outputs.sort(key=lambda o: (o.frame, o.track_id))
     return outputs

@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package: the assignment oracle is
 an exhaustive permutation search, the feature oracle is a plain-Python
-re-derivation with fsum accumulation, and the box-overlap oracles (IoU,
-CLEAR-MOT, IDF1, NMS) are the one-pair-at-a-time forms the package used
-before it built IoU matrices. If the fast paths drift, these catch it.
+re-derivation with fsum accumulation, the tracker oracle is a per-track loop
+over those two, and the box-overlap oracles (IoU, CLEAR-MOT, IDF1, NMS) are
+the one-pair-at-a-time forms the package used before it built IoU matrices.
+If the fast paths drift, these catch it.
 """
 
 import itertools
@@ -59,6 +60,115 @@ def direct_weighted_feature(history, tau):
     ]
     norm = math.sqrt(math.fsum(v * v for v in mean))
     return [v / norm for v in mean]
+
+
+def _stage_costs(tracks, dets, gate, per_class):
+    """1 - cos(feature, embedding) per (track, det), inf past the gate or class."""
+    rows = []
+    for t in tracks:
+        row = []
+        for d in dets:
+            sim = math.fsum(float(a) * float(b) for a, b in zip(t["feature"], d.embedding))
+            cost = 1.0 - min(1.0, max(-1.0, sim))
+            if cost > 1.0 - gate or (per_class and t["class_id"] != d.class_id):
+                cost = math.inf
+            row.append(cost)
+        rows.append(row)
+    return rows
+
+
+def reference_tracker(frames, config):
+    """The documented two-stage tracker, one track and one pairing at a time.
+
+    frames: FrameInput-like objects (frame, detections with bbox, score,
+    class_id and a unit embedding), frames strictly increasing; config: a
+    TrackerConfig-like object. A generator: after each frame it yields
+    (outputs, tracks). outputs are (frame, track_id, bbox, score, class_id)
+    tuples in track-id order, one per track matched or founded that frame;
+    tracks are dicts (track_id, class_id, state, frames_since_match, scores,
+    last_bbox, feature) for every track founded so far, removed ones too, in
+    founding order. Being lazy, it does no work for frames it is not asked
+    for.
+
+    Per frame: score >= high_thresh is the high band, low_thresh <= score <
+    high_thresh the low band, the rest is dropped. Stage 1 matches the high
+    band to every live (active or lost) track, pairs below sim_gate_high
+    forbidden; stage 2 matches the pool (the stage-1 leftovers of the high
+    band, then the low band; only the low band with bytetrack_stage2) to the
+    live tracks stage 1 left, pairs below sim_gate_low forbidden. per_class
+    forbids pairs of different classes in both stages. A matched track
+    appends (embedding, score) to its last tau observations, becomes active
+    and resets its miss count; a live track left unmatched counts one more
+    miss and is removed once the count exceeds max_lost_age, lost until
+    then. High-band detections no stage matched found new tracks, in pool
+    order, when their score is >= min_init_score. Every matched or founded
+    track then takes direct_weighted_feature of its observations.
+    """
+    tracks = []
+    for frame_input in frames:
+        frame = frame_input.frame
+        dets = frame_input.detections
+        high = [d for d in dets if d.score >= config.high_thresh]
+        low = [d for d in dets if config.low_thresh <= d.score < config.high_thresh]
+        live = [t for t in tracks if t["state"] != "removed"]
+
+        _, _, pairs1 = brute_force_assignment(
+            _stage_costs(live, high, config.sim_gate_high, config.per_class))
+        matched = [(live[i], high[j]) for i, j in pairs1]
+        rows1 = {i for i, _ in pairs1}
+        cols1 = {j for _, j in pairs1}
+        remaining = [t for i, t in enumerate(live) if i not in rows1]
+        unmatched_high = [d for j, d in enumerate(high) if j not in cols1]
+
+        pool = low if config.bytetrack_stage2 else unmatched_high + low
+        _, _, pairs2 = brute_force_assignment(
+            _stage_costs(remaining, pool, config.sim_gate_low, config.per_class))
+        matched += [(remaining[i], pool[j]) for i, j in pairs2]
+        cols2 = {j for _, j in pairs2}
+
+        for t, d in matched:
+            t["history"] = (t["history"] + [(d.embedding, d.score)])[-config.tau:]
+            t["state"] = "active"
+            t["frames_since_match"] = 0
+            t["last_bbox"] = d.bbox
+        matched_ids = {t["track_id"] for t, _ in matched}
+        for t in live:
+            if t["track_id"] not in matched_ids:
+                t["frames_since_match"] += 1
+                t["state"] = ("removed" if t["frames_since_match"] > config.max_lost_age
+                              else "lost")
+
+        if config.bytetrack_stage2:
+            leftovers = unmatched_high
+        else:
+            leftovers = [d for j, d in enumerate(unmatched_high) if j not in cols2]
+        founded = []
+        for d in leftovers:
+            if d.score >= config.min_init_score:
+                founded.append({
+                    "track_id": len(tracks) + len(founded) + 1,
+                    "class_id": d.class_id,
+                    "history": [(d.embedding, d.score)],
+                    "state": "active",
+                    "frames_since_match": 0,
+                    "last_bbox": d.bbox,
+                })
+        tracks += founded
+
+        emitting = [t for t, _ in matched] + founded
+        for t in emitting:
+            t["feature"] = direct_weighted_feature(t["history"], config.tau)
+        outputs = sorted(
+            ((frame, t["track_id"], t["last_bbox"], t["history"][-1][1], t["class_id"])
+             for t in emitting),
+            key=lambda o: o[1])
+        yield outputs, [
+            {"track_id": t["track_id"], "class_id": t["class_id"], "state": t["state"],
+             "frames_since_match": t["frames_since_match"],
+             "scores": [s for _, s in t["history"]], "last_bbox": t["last_bbox"],
+             "feature": list(t["feature"])}
+            for t in tracks
+        ]
 
 
 def scalar_iou(a, b):

@@ -38,7 +38,7 @@ from reidmot.io import (
     write_gt,
     write_results,
 )
-from reidmot.tracker import Track
+from reidmot.tracker import Track, _refresh_features
 
 from oracles import brute_force_assignment, direct_weighted_feature
 
@@ -80,7 +80,7 @@ def test_criterion_2_weighted_feature_equivalence():
     """10,000 random histories: stored feature within 1e-9/coordinate of oracle."""
     rng = np.random.default_rng(202)
     tau, d = 30, 16
-    worst = 0.0
+    tracks, histories = [], []
     for case in range(10_000):
         length = int(rng.integers(1, tau + 1))
         track = None
@@ -95,7 +95,12 @@ def test_criterion_2_weighted_feature_equivalence():
             if track is None:
                 track = Track(track_id=1, detection=det, frame=t + 1, tau=tau)
             else:
-                track._observe(det, t + 1)
+                track._record(det, t + 1)
+        tracks.append(track)
+        histories.append(history)
+    _refresh_features(tracks)
+    worst = 0.0
+    for track, history in zip(tracks, histories):
         expected = np.array(direct_weighted_feature(history, tau))
         worst = max(worst, float(np.max(np.abs(track.feature - expected))))
     ok = worst <= 1e-9

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidmot import (
     FORBIDDEN,
     BBox,
+    ConfigError,
     Detection,
+    DimensionMismatchError,
     EmptyHistoryError,
     FrameInput,
     MissingEmbeddingError,
@@ -21,9 +25,9 @@ from reidmot import (
     weighted_feature,
 )
 
-from reidmot.tracker import FEATURE_BATCH
+from reidmot.tracker import FEATURE_BATCH, _refresh_features
 
-from oracles import direct_weighted_feature
+from oracles import direct_weighted_feature, reference_tracker
 
 BOX = BBox(0, 0, 10, 10)
 
@@ -72,6 +76,10 @@ def test_weighted_feature_errors():
         weighted_feature([], tau=5)
     with pytest.raises(ZeroWeightError):
         weighted_feature([(np.array([1.0, 0.0]), 0.0)], tau=5)
+    history = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)]
+    for tau in (0, -1):
+        with pytest.raises(ConfigError, match=f"tau must be >= 1, got {tau}"):
+            weighted_feature(history, tau)
 
 
 def test_weighted_feature_matches_oracle_on_random_histories():
@@ -90,6 +98,7 @@ def test_weighted_feature_matches_oracle_on_random_histories():
 
 def test_track_stores_oracle_feature():
     rng = np.random.default_rng(77)
+    tracks, histories = [], []
     for _ in range(100):
         length = int(rng.integers(1, 31))
         dets = []
@@ -98,8 +107,13 @@ def test_track_stores_oracle_feature():
             dets.append(det(1, float(rng.uniform(0.05, 1.0)), e / np.linalg.norm(e)))
         track = Track(1, dets[0], frame=1, tau=30)
         for d in dets[1:]:
-            track._observe(d, frame=1)
-        want = direct_weighted_feature([(d.embedding, d.score) for d in dets], 30)
+            track._record(d, frame=1)
+        assert track.feature is None  # only the refresh sets it
+        tracks.append(track)
+        histories.append([(d.embedding, d.score) for d in dets])
+    _refresh_features(tracks)
+    for track, history in zip(tracks, histories):
+        want = direct_weighted_feature(history, 30)
         assert np.max(np.abs(track.feature - np.array(want))) < 1e-9
 
 
@@ -107,7 +121,7 @@ def test_track_history_is_bounded_by_tau():
     d0 = det(1, 0.9, unit(1, 0))
     track = Track(1, d0, frame=1, tau=3)
     for k in range(10):
-        track._observe(det(1, 0.9, unit(1, 0)), frame=1)
+        track._record(det(1, 0.9, unit(1, 0)), frame=1)
     assert len(track.history) == 3
 
 
@@ -125,8 +139,10 @@ def test_split_by_score_boundaries():
 
 
 def test_build_cost_matrix_values_and_classes():
-    t1 = Track(1, det(1, 0.9, unit(1, 0)), frame=1, tau=5)
-    t2 = Track(2, det(1, 0.9, unit(0, 1), class_id=3), frame=1, tau=5)
+    tracker = Tracker(TrackerConfig(per_class=False))
+    tracker.step(FrameInput(frame=1, detections=(
+        det(1, 0.9, unit(1, 0)), det(1, 0.9, unit(0, 1), class_id=3))))
+    t1, t2 = tracker.tracks
     dets = [det(2, 0.9, unit(1, 0)), det(2, 0.9, unit(0, 1), class_id=3)]
     costs = build_cost_matrix([t1, t2], dets)
     assert costs[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -250,6 +266,34 @@ def test_missing_embedding_rejected():
     bare = Detection(frame=1, bbox=BOX, score=0.9)
     with pytest.raises(MissingEmbeddingError):
         tracker.step(FrameInput(frame=1, detections=(bare,)))
+
+
+@pytest.mark.parametrize("cfg, bad_frame, error", [
+    (TrackerConfig(), (Detection(1, BOX, 0.9),), MissingEmbeddingError),
+    (TrackerConfig(embedding_dim=3), (det(1, 0.9, [1.0, 0.0]),), DimensionMismatchError),
+    # a frame whose own embeddings disagree fixes no length
+    (TrackerConfig(), (det(1, 0.9, [1.0, 0.0, 0.0]), det(1, 0.9, [1.0, 0.0])),
+     DimensionMismatchError),
+    # embeddings that are not 1-D fix no length either
+    (TrackerConfig(), (det(1, 0.9, [[1.0], [0.0], [0.0]]),), DimensionMismatchError),
+    (TrackerConfig(), (det(1, 0.9, 1.0),), DimensionMismatchError),
+])
+def test_rejected_frame_leaves_tracker_unchanged(cfg, bad_frame, error):
+    tracker = Tracker(cfg)
+    with pytest.raises(error):
+        tracker.step(FrameInput(frame=1, detections=bad_frame))
+    good = det(1, 0.9, [1.0, 0.0, 0.0] if cfg.embedding_dim == 3 else [1.0, 0.0])
+    out = tracker.step(FrameInput(frame=1, detections=(good,)))
+    assert [(o.frame, o.track_id) for o in out] == [(1, 1)]
+
+
+def test_embedding_length_is_fixed_by_the_first_accepted_embedding():
+    tracker = Tracker()
+    tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(1, 0, 0)),)))
+    with pytest.raises(DimensionMismatchError, match="length 2, expected 3"):
+        tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, unit(1, 0)),)))
+    out = tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, unit(1, 0, 0)),)))
+    assert [o.track_id for o in out] == [1]
 
 
 def test_stage1_high_band_takes_precedence_over_better_low_match():
@@ -397,3 +441,71 @@ def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
     tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0))
     with pytest.raises(ZeroWeightError):
         tracker.step(FrameInput(frame=1, detections=(det(1, 0.0, unit(1, 0)),)))
+
+
+# Scores on and either side of both band edges (low 0.4, high 0.8) and of the
+# 0.9 init floor some scenarios set.
+SCENARIO_SCORES = [0.1, 0.4, 0.6, 0.8, 0.9, 1.0]
+SCENARIO_DIM = 6
+
+
+@st.composite
+def tracking_scenarios(draw):
+    """A few frames of at most 5 detections of up to 4 identities or clutter.
+
+    Each sighting is its identity's base vector plus fresh noise, or clutter;
+    the continuous parts come from a numpy generator seeded by hypothesis.
+    A frame may repeat one of its detections, bit for bit: the copies tie
+    exactly, and when both found tracks so do those tracks' features.
+    """
+    cfg = TrackerConfig(
+        high_thresh=0.8, low_thresh=0.4,
+        sim_gate_high=draw(st.sampled_from([0.5, 0.8])),
+        sim_gate_low=draw(st.sampled_from([0.3, 0.6])),
+        tau=draw(st.integers(1, 3)),
+        max_lost_age=draw(st.integers(0, 2)),
+        min_init_score=draw(st.sampled_from([None, 0.9])),
+        per_class=draw(st.booleans()),
+        bytetrack_stage2=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ids = draw(st.integers(1, 4))
+    bases = rng.normal(size=(n_ids, SCENARIO_DIM))
+    classes = draw(st.lists(st.integers(0, 1), min_size=n_ids + 1, max_size=n_ids + 1))
+    noise = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    frames = []
+    for f in range(1, draw(st.integers(1, 8)) + 1):
+        dets = []
+        for k in draw(st.lists(st.integers(0, n_ids), max_size=5)):
+            e = (bases[k] + rng.normal(scale=noise, size=SCENARIO_DIM) if k < n_ids
+                 else rng.normal(size=SCENARIO_DIM))
+            box = BBox(*rng.uniform(0, 50, 2).tolist(), 10, 10)
+            dets.append(det(f, draw(st.sampled_from(SCENARIO_SCORES)),
+                            e / np.linalg.norm(e), classes[k], box))
+        if 0 < len(dets) < 5 and draw(st.booleans()):
+            dets.append(dets[draw(st.integers(0, len(dets) - 1))])
+        frames.append(FrameInput(frame=f, detections=tuple(dets)))
+    return frames, cfg
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(tracking_scenarios())
+def test_step_matches_reference_tracker(scenario):
+    # Features are compared to criterion 2's bound, not bit for bit: the
+    # oracle sums with fsum. A scenario stops early once more than 5 tracks
+    # are live, so the oracle's brute-force assignment stays cheap.
+    frames, cfg = scenario
+    tracker = Tracker(cfg)
+    for frame_input, (want_out, want_tracks) in zip(frames, reference_tracker(frames, cfg)):
+        out = tracker.step(frame_input)
+        assert [(o.frame, o.track_id, o.bbox, o.score, o.class_id) for o in out] == want_out
+        assert len(tracker.tracks) == len(want_tracks)
+        for track, want in zip(tracker.tracks, want_tracks):
+            assert (track.track_id, track.class_id, track.state.value,
+                    track.frames_since_match, [s for _, s in track.history],
+                    track.last_bbox) == (
+                want["track_id"], want["class_id"], want["state"],
+                want["frames_since_match"], want["scores"], want["last_bbox"])
+            assert np.max(np.abs(track.feature - np.array(want["feature"]))) <= 1e-9
+        if len(tracker.live_tracks) > 5:
+            break
