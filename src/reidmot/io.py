@@ -12,21 +12,40 @@ whose ValueError the parsers re-raise as a ParseError for the line.
     results/gt:  frame,id,x,y,w,h,score,class,flag
 
 Results are written with 6-decimal reals; detection and ground-truth writers
-use repr floats so a write/parse round trip is lossless.
+use repr floats so a write/parse round trip is lossless. Embeddings are
+written with 6-decimal components through one format template per row.
+
+An embedding text is first read in one columnar np.loadtxt pass; anything
+unusual in it goes to the line parser, the one home of the embedding rules
+and their messages, so both paths give the same vectors and the same errors.
+The line parser also names the line of a wrong length or a zero vector
+(DimensionMismatchError, ZeroNormError).
 """
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry, group_by_frame, iou_matrix, normalize_embedding
+from .core import (
+    ZERO_NORM_EPS,
+    BBox,
+    Detection,
+    FrameInput,
+    GtEntry,
+    group_by_frame,
+    iou_matrix,
+    normalize_embedding,
+)
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     DuplicateEntryError,
     MissingEmbeddingError,
     OrphanEmbeddingError,
     ParseError,
+    ZeroNormError,
 )
 
 
@@ -102,8 +121,63 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
     """Parse an embedding file into {(frame, index): unit vector}.
 
     The dimension is fixed by `expected_dim` or, failing that, by the first
-    record; every vector is L2-normalized on load.
+    record; every vector is L2-normalized on load. A clean text is read in
+    one columnar pass, whose vectors are row views of one block; anything
+    else goes to the line parser, which holds every rule and error message.
     """
+    if isinstance(source, str):
+        emb = _parse_embedding_block(source, expected_dim)
+        if emb is not None:
+            return emb
+    return _parse_embedding_lines(source, expected_dim)
+
+
+def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
+    """The whole text in one np.loadtxt pass, or None to defer to the line parser.
+
+    Returns None for anything the line parser might reject or read
+    differently: no lines, blank lines, comments, ragged rows, text loadtxt
+    does not take or warns about (a key that is not an integer among
+    them), a key out of range or repeated, a wrong dimension, a
+    non-finite component, or a norm that normalize_embedding would reject
+    or that overflows. The vectors are row views of the loadtxt block,
+    normalized in place: a contiguous copy would raise the peak RSS by the
+    block's size. The row-matmul norm has the bits of np.linalg.norm on
+    each row; norm(axis=1) does not.
+    """
+    lines = text.splitlines()
+    dim = lines[0].count(",") - 1 if lines else 0
+    # loadtxt warns on no lines and, under max_rows, on a blank line.
+    if dim < 1 or (expected_dim is not None and expected_dim != dim) or "" in lines:
+        return None
+    try:
+        # int64 keys, so that a key such as "1.0" or "1e0" is refused, as
+        # int() refuses it; float columns would take it. Older numpy read
+        # such a key through a float (1.9 -> 1) with only a
+        # DeprecationWarning, so every warning here is an error that defers
+        # to the line parser. max_rows sizes the block once; growing it
+        # raises the peak RSS.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, max_rows=len(lines),
+                               dtype=[("key", np.int64, (2,)), ("vec", np.float64, (dim,))])
+    except (ValueError, Warning):
+        return None
+    del lines  # before the keys and the dict are built: a lower peak RSS
+    keys, vecs = block["key"], block["vec"]
+    if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
+        return None
+    # A non-finite component makes its row's norm non-finite.
+    norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
+    if not (np.isfinite(norms) & (norms >= ZERO_NORM_EPS)).all():
+        return None
+    vecs /= norms[:, None]
+    emb = {(frame, index): vec for (frame, index), vec in zip(keys.tolist(), vecs)}
+    return emb if len(emb) == len(block) else None  # a repeated key
+
+
+def _parse_embedding_lines(source, expected_dim: int | None) -> dict:
+    """parse_embeddings one line at a time: the rules and their messages."""
     emb = {}
     dim = expected_dim
     for line_no, text in _lines(source):
@@ -126,6 +200,8 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
             dim = vec.shape[0]
         try:
             emb[(frame, index)] = normalize_embedding(vec, dim)
+        except (DimensionMismatchError, ZeroNormError) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
         except ValueError as exc:  # a non-finite component
             raise ParseError(line_no, str(exc)) from None
     return emb
@@ -205,14 +281,34 @@ def write_detections(detections) -> str:
 
 
 def write_embeddings(frames) -> str:
-    """Embedding lines (6-decimal components) for every detection that has one."""
+    """Embedding lines (6-decimal components) for every detection that has one.
+
+    Every row is formatted by one template, so every embedding must be 1-D
+    and as long as the first one, which must not be empty; anything else
+    raises DimensionMismatchError rather than write a file that
+    parse_embeddings rejects.
+    """
     lines = []
+    shape = row_fmt = None
     for fi in frames:
         for index, det in enumerate(fi.detections):
-            if det.embedding is None:
+            emb = det.embedding
+            if emb is None:
                 raise MissingEmbeddingError(fi.frame, index)
-            vec = ",".join(f"{v:.6f}" for v in det.embedding)
-            lines.append(f"{fi.frame},{index},{vec}")
+            if emb.shape != shape:
+                if emb.ndim != 1 or emb.shape[0] == 0:
+                    raise DimensionMismatchError(
+                        f"frame {fi.frame}, index {index}: embedding must be 1-D "
+                        f"and non-empty, got shape {emb.shape}"
+                    )
+                if shape is not None:
+                    raise DimensionMismatchError(
+                        f"frame {fi.frame}, index {index}: embedding has length "
+                        f"{emb.shape[0]}, expected {shape[0]}"
+                    )
+                shape = emb.shape
+                row_fmt = ",".join(["%.6f"] * shape[0])
+            lines.append(f"{fi.frame},{index}," + row_fmt % tuple(emb.tolist()))
     return "".join(line + "\n" for line in lines)
 
 

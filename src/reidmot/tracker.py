@@ -101,12 +101,6 @@ def _weighted_means(histories) -> list[np.ndarray]:
     return features
 
 
-def _refresh_features(tracks):
-    """Recompute the feature of every track in `tracks` in one batched pass."""
-    for track, feature in zip(tracks, _weighted_means([t.history for t in tracks])):
-        track.feature = feature
-
-
 def split_by_score(detections, config: TrackerConfig):
     """Partition detections into (high, low, discarded) score bands.
 
@@ -130,11 +124,11 @@ class Track:
 
     Keeps a bounded ring of the last `tau` (embedding, score) observations;
     `feature` is the score-weighted mean of that ring (see weighted_feature).
-    Tracker.step is its whole lifecycle: it founds a track on a detection
-    and records each later match with `_record`, both leaving `feature` as
-    it was (None for a new track), then refreshes the features of every
-    track it matched or founded that frame in one batched pass
-    (_refresh_features). While a track is lost the ring is not touched, so
+    Tracker.step is its whole lifecycle: it computes the features of every
+    history a frame would leave in one batched pass (_weighted_means), then
+    founds a track on a detection or records a later match with `_record`,
+    both leaving `feature` as it was (None for a new track), and assigns the
+    computed features. While a track is lost the ring is not touched, so
     the feature stays frozen at its last matched appearance. Only the tracks
     in `Tracker.tracks` are usable: a `Track(...)` built elsewhere keeps
     `feature` None and cannot go into build_cost_matrix.
@@ -232,16 +226,19 @@ class Tracker:
         absorb their detection; unmatched tracks age and eventually drop off;
         unmatched high-band detections above min_init_score found new tracks.
         Low-band detections never found tracks. This is the one place a
-        track is founded, recorded and refreshed: matching and founding only
-        record the detection, then the features of all matched and founded
-        tracks are refreshed in one batched pass (see _weighted_means), and
-        the outputs are built in track-id order.
+        track is founded, recorded and refreshed: the features of all
+        matched and founded tracks are computed first, in one batched pass
+        (see _weighted_means), and only then are tracks recorded, aged and
+        founded and the features assigned; the outputs are built in
+        track-id order.
 
         The embeddings are used as given, so they should be unit-norm (see
-        normalize_embedding). The whole frame is checked before any state
-        changes: a frame that raises NonMonotonicFrameError,
-        MissingEmbeddingError or DimensionMismatchError leaves the tracker
-        as it was.
+        normalize_embedding). The whole frame is checked and its features
+        computed before any state changes: a frame that raises
+        NonMonotonicFrameError, MissingEmbeddingError,
+        DimensionMismatchError, ZeroNormError (a mean that cancels out) or
+        ZeroWeightError (a history whose scores sum to zero) leaves the
+        tracker as it was.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -264,8 +261,6 @@ class Tracker:
                 raise DimensionMismatchError(
                     f"frame {frame}: embedding length {shape[0]}, expected {dim}"
                 )
-        self._last_frame = frame
-        self._dim = dim
 
         high, low, _ = split_by_score(frame_input.detections, cfg)
         live = self.live_tracks
@@ -288,14 +283,6 @@ class Tracker:
                        1.0 - cfg.sim_gate_low)
         )
         matched += [(remaining[i], pool[j]) for i, j in res2.matches]
-        stats = StepStats(frame=frame, matched_stage1=len(res1.matches),
-                          matched_stage2=len(res2.matches))
-
-        for track, det in matched:
-            track._record(det, frame)
-        for i in res2.unmatched_rows:
-            remaining[i]._miss(cfg.max_lost_age)
-            stats.removed += remaining[i].state is TrackState.REMOVED
 
         # Founding: only confident leftovers above the init floor. The low
         # band can sustain tracks but never create them. Without
@@ -304,16 +291,32 @@ class Tracker:
             leftovers = unmatched_high
         else:
             leftovers = [pool[j] for j in res2.unmatched_cols if j < len(unmatched_high)]
+        founders = [det for det in leftovers if det.score >= cfg.min_init_score]
+
+        # The features of the histories this frame would leave, computed
+        # before any state changes: a raise here leaves the tracker as it was.
+        features = _weighted_means(
+            [[*t.history, (det.embedding, det.score)][-cfg.tau:] for t, det in matched]
+            + [[(det.embedding, det.score)] for det in founders]
+        )
+        self._last_frame = frame
+        self._dim = dim
+        stats = StepStats(frame=frame, matched_stage1=len(res1.matches),
+                          matched_stage2=len(res2.matches), spawned=len(founders))
+        for track, det in matched:
+            track._record(det, frame)
+        for i in res2.unmatched_rows:
+            remaining[i]._miss(cfg.max_lost_age)
+            stats.removed += remaining[i].state is TrackState.REMOVED
         new_tracks = []
-        for det in leftovers:
-            if det.score >= cfg.min_init_score:
-                new_tracks.append(Track(self._next_id, det, frame, cfg.tau))
-                self._next_id += 1
+        for det in founders:
+            new_tracks.append(Track(self._next_id, det, frame, cfg.tau))
+            self._next_id += 1
 
         emitting = [t for t, _ in matched] + new_tracks
-        _refresh_features(emitting)
+        for track, feature in zip(emitting, features):
+            track.feature = feature
         self.tracks.extend(new_tracks)
-        stats.spawned = len(new_tracks)
         # Stage-2 matches can hold lower ids than stage-1 ones.
         emitting.sort(key=lambda t: t.track_id)
         outputs = []

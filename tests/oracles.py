@@ -4,7 +4,9 @@ These deliberately share no code with the package: the assignment oracle is
 an exhaustive permutation search, the feature oracle is a plain-Python
 re-derivation with fsum accumulation, the tracker oracle is a per-track loop
 over those two, and the box-overlap oracles (IoU, CLEAR-MOT, IDF1, NMS) are
-the one-pair-at-a-time forms the package used before it built IoU matrices.
+the one-pair-at-a-time forms the package used before it built IoU matrices,
+and the embedding writer formats one component at a time, as the package did
+before it formatted each row with one template.
 If the fast paths drift, these catch it.
 """
 
@@ -280,3 +282,13 @@ def greedy_nms(detections, iou_thresh):
                for k in kept if k.class_id == cand.class_id):
             kept.append(cand)
     return kept
+
+
+def component_format_embeddings(frames):
+    """Embedding file text written one component at a time with f"{v:.6f}"."""
+    lines = []
+    for fi in frames:
+        for index, det in enumerate(fi.detections):
+            vec = ",".join(f"{v:.6f}" for v in det.embedding)
+            lines.append(f"{fi.frame},{index},{vec}")
+    return "".join(line + "\n" for line in lines)

@@ -261,3 +261,17 @@ def test_feature_that_cancels_out_exits_6(tmp_path, capsys):
                "--sim-gate-high", "-1", "--no-per-class"])
     assert rc == 6
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("embeddings, code, message", [
+    ("1,0,1,0\n1,1,1,0,0\n", 5, "error: line 2: embedding has length 3, expected 2\n"),
+    ("1,0,1,0\n1,1,0,0\n", 6, "error: line 2: cannot normalize vector with norm 0.0\n"),
+])
+def test_embedding_file_errors_name_their_line(tmp_path, capsys, embeddings, code, message):
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.9,0,-1\n1,-1,20,0,10,10,0.9,0,-1\n")
+    emb.write_text(embeddings)
+    rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt")])
+    assert rc == code
+    assert capsys.readouterr().err == message

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from reidmot import (
     Detection,
     DimensionMismatchError,
     DuplicateEntryError,
+    FrameInput,
     GtEntry,
     MissingEmbeddingError,
     OrphanEmbeddingError,
     ParseError,
+    TrackingError,
     TrackOutput,
     ZeroNormError,
     attach_embeddings,
@@ -28,7 +31,7 @@ from reidmot import (
 import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
 
-from oracles import greedy_nms
+from oracles import component_format_embeddings, greedy_nms
 
 
 def test_parse_detections_basic():
@@ -112,6 +115,102 @@ def test_parse_embeddings_errors():
         parse_embeddings("1,0,1,0\n1,1,nan,1\n")
     with pytest.raises(ParseError, match="line 1: .*finite"):
         parse_embeddings("1,0,1,-inf\n")
+
+
+def test_embedding_dimension_and_zero_norm_errors_name_their_line():
+    with pytest.raises(ZeroNormError,
+                       match=r"^line 1: cannot normalize vector with norm 0\.0$"):
+        parse_embeddings("1,0,0,0\n1,1,1,0\n")
+    with pytest.raises(ZeroNormError, match=r"^line 2: cannot normalize"):
+        parse_embeddings("1,0,1,0\n1,1,0,0\n")
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^line 3: embedding has length 3, expected 2$"):
+        parse_embeddings("# dim 2\n1,0,1,0\n1,1,1,0,0\n")
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^line 1: embedding has length 2, expected 3$"):
+        parse_embeddings("1,0,1,0\n", expected_dim=3)
+
+
+def _frame(*embeddings, frame=1):
+    return FrameInput(frame=frame, detections=tuple(
+        Detection(frame=frame, bbox=BBox(0, 0, 10, 10), score=0.9, embedding=e)
+        for e in embeddings))
+
+
+@pytest.mark.parametrize("frames, message", [
+    ([_frame(np.array([1.0, 0.0])), _frame(np.array([1.0, 0.0, 0.0]), frame=2)],
+     r"^frame 2, index 0: embedding has length 3, expected 2$"),
+    ([_frame(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]))],
+     r"^frame 1, index 1: embedding must be 1-D and non-empty, got shape \(1, 2\)$"),
+    ([_frame(np.array([[1.0], [0.0]]))], r"^frame 1, index 0: .* got shape \(2, 1\)$"),
+    ([_frame(np.array(1.0))], r"^frame 1, index 0: .* got shape \(\)$"),
+    ([_frame(np.array([]))], r"^frame 1, index 0: .* got shape \(0,\)$"),
+])
+def test_write_embeddings_rejects_what_the_parser_would(frames, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        write_embeddings(frames)
+
+
+def test_write_embeddings_still_names_a_missing_embedding():
+    with pytest.raises(MissingEmbeddingError):
+        write_embeddings([_frame(np.array([1.0, 0.0]), None)])
+
+
+def test_clean_embedding_file_takes_the_columnar_path(monkeypatch):
+    text = "1,0,3,4\n1,1,0,2\n2,0,-1,0\n"
+    want = seqio._parse_embedding_lines(text, None)
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran on a clean file")
+
+    monkeypatch.setattr(seqio, "_parse_embedding_lines", no_line_parser)
+    emb = parse_embeddings(text)
+    assert list(emb) == list(want) == [(1, 0), (1, 1), (2, 0)]
+    assert all(emb[k].tobytes() == want[k].tobytes() for k in want)
+    block = emb[(1, 0)].base  # the rows are views of one block, not copies
+    assert block is not None and all(v.base is block for v in emb.values())
+
+
+FLOAT_KEY_TEXTS = ["1.0,0,0.6,0.8\n", "1,0.5,0.6,0.8\n", "1.9,0,0.6,0.8\n"]
+
+
+def _line_parser_error(text):
+    with pytest.raises(ParseError) as want:
+        seqio._parse_embedding_lines(text, None)
+    return str(want.value)
+
+
+@pytest.mark.parametrize("text", FLOAT_KEY_TEXTS)
+def test_float_key_is_refused_with_warnings_ignored(text):
+    # As run from the command line, where warnings are not errors.
+    message = _line_parser_error(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError) as got:
+            parse_embeddings(text)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("text", FLOAT_KEY_TEXTS)
+def test_float_key_is_refused_where_loadtxt_only_warns(text, monkeypatch):
+    # Older numpy read an int64 field such as "1.9" through a float, as 1,
+    # with only a DeprecationWarning; this loadtxt does the same.
+    message = _line_parser_error(text)
+    loadtxt = np.loadtxt
+
+    def float_key_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        rows = [line.split(",") for line in lines]
+        return loadtxt([",".join([str(int(float(k))) for k in row[:2]] + row[2:]) for row in rows],
+                       **kwargs)
+
+    monkeypatch.setattr(seqio.np, "loadtxt", float_key_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError) as got:
+            parse_embeddings(text)
+    assert str(got.value) == message
 
 
 def test_attach_embeddings_joins_by_frame_and_file_order():
@@ -409,3 +508,82 @@ nms_frames_strategy = st.lists(
 def test_nms_equals_greedy_reference(dets, thresh):
     kept = nms(dets, thresh)
     assert [id(d) for d in kept] == [id(d) for d in greedy_nms(dets, thresh)]
+
+
+# Key and component texts the two embedding parsers might read differently:
+# floats int() rejects, signs, padding, separators, overflow, non-finite and
+# underflowing values, hex, Fortran exponents, full-width digits, empties.
+KEY_TEXTS = ["0", "1", "2", "-1", "1.0", "1e0", "+1", " 2", "-0", "1_0",
+             "99999999999999999999", "0x1", "１", ""]
+VALUE_TEXTS = ["0", "-0.0", "0.6", "0.8", "nan", "-nan", "inf", "-Infinity",
+               "1e400", "1e-400", "1e200", "+1", " 2", "3 ", "1_0", "0x1",
+               "1d5", ".5", "5.", "１", ""]
+
+
+@st.composite
+def embedding_files(draw):
+    """Rows like "1,0,0.6,0.8", some clean and some mutated, with blank and
+    comment lines, LF or CRLF endings, and repeated keys from a small range."""
+    dim = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    # Mostly values well away from 0, so that many clean files pass the norm check.
+    value = st.one_of(st.floats(-2, 2), st.floats(0.1, 2), st.floats(-2, -0.1))
+    clean = st.builds(lambda f, i, vals: ",".join([str(f), str(i), *map(repr, vals)]),
+                      st.integers(1, 3), st.integers(0, 3),
+                      st.lists(value, min_size=dim, max_size=dim))
+    rows = draw(st.lists(clean, min_size=1, max_size=6))
+    key_edit = st.builds(lambda k, col: (col, k), st.sampled_from(KEY_TEXTS), st.integers(0, 1))
+    value_edit = st.builds(lambda v, col: (col, v), st.sampled_from(VALUE_TEXTS),
+                           st.integers(2, dim + 1))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows) - 1))
+        fields = rows[at].split(",")
+        kind = draw(st.sampled_from(["key", "value", "zero", "short", "ragged", "extra"]))
+        if kind in ("key", "value"):
+            col, text = draw(key_edit if kind == "key" else value_edit)
+            fields[col] = text
+        elif kind == "zero":
+            fields[2:] = ["0"] * dim
+        elif kind == "short":
+            fields = fields[:2]
+        else:
+            fields = fields[:-1] if kind == "ragged" else fields + ["0.5"]
+        rows[at] = ",".join(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", "# comment", "#1,0,1", "   "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+def _parse_outcome(parse, text, expected_dim):
+    try:
+        emb = parse(text, expected_dim)
+    except TrackingError as exc:
+        return type(exc), str(exc)
+    return [(key, vec.tobytes()) for key, vec in emb.items()]
+
+
+@settings(derandomize=True, max_examples=600, database=None, deadline=None)
+@given(embedding_files(), st.sampled_from([None, 2, 3]))
+def test_columnar_embedding_parse_equals_the_line_parser(text, expected_dim):
+    assert (_parse_outcome(parse_embeddings, text, expected_dim)
+            == _parse_outcome(seqio._parse_embedding_lines, text, expected_dim))
+
+
+WRITTEN_VALUES = st.one_of(st.floats(-2, 2),
+                           st.sampled_from([-0.0, 5e-7, -5e-7, 0.5000005, 1e20]))
+
+
+@st.composite
+def embedded_frames(draw):
+    dim = draw(st.integers(1, 8))
+    vectors = st.lists(WRITTEN_VALUES, min_size=dim, max_size=dim).map(np.array)
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return [_frame(*[draw(vectors) for _ in range(n)], frame=f)
+            for f, n in enumerate(sizes, start=1)]
+
+
+@PROPERTY
+@given(embedded_frames())
+def test_write_embeddings_matches_the_component_writer(frames):
+    assert write_embeddings(frames) == component_format_embeddings(frames)

@@ -25,7 +25,7 @@ from reidmot import (
     weighted_feature,
 )
 
-from reidmot.tracker import FEATURE_BATCH, _refresh_features
+from reidmot.tracker import FEATURE_BATCH, _weighted_means
 
 from oracles import direct_weighted_feature, reference_tracker
 
@@ -108,13 +108,13 @@ def test_track_stores_oracle_feature():
         track = Track(1, dets[0], frame=1, tau=30)
         for d in dets[1:]:
             track._record(d, frame=1)
-        assert track.feature is None  # only the refresh sets it
+        assert track.feature is None  # only Tracker.step sets it
         tracks.append(track)
         histories.append([(d.embedding, d.score) for d in dets])
-    _refresh_features(tracks)
-    for track, history in zip(tracks, histories):
+    features = _weighted_means([t.history for t in tracks])
+    for feature, history in zip(features, histories):
         want = direct_weighted_feature(history, 30)
-        assert np.max(np.abs(track.feature - np.array(want))) < 1e-9
+        assert np.max(np.abs(feature - np.array(want))) < 1e-9
 
 
 def test_track_history_is_bounded_by_tau():
@@ -441,6 +441,43 @@ def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
     tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0))
     with pytest.raises(ZeroWeightError):
         tracker.step(FrameInput(frame=1, detections=(det(1, 0.0, unit(1, 0)),)))
+
+
+def _tracker_state(tracker):
+    """Everything a step may change, in a form that compares by value."""
+    return (tracker._last_frame, tracker._dim, tracker._next_id, [
+        (t.track_id, t.state, t.frames_since_match, t.last_frame, t.last_bbox,
+         [(e.tobytes(), s) for e, s in t.history], t.feature.tobytes())
+        for t in tracker.tracks
+    ])
+
+
+def test_zero_norm_refresh_leaves_the_tracker_as_it_was():
+    e = unit(1, 0, 0)
+    tracker = Tracker(TrackerConfig(sim_gate_high=-1.0, per_class=False))
+    tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, e),)))
+    before = _tracker_state(tracker)
+    cancelling = FrameInput(frame=2, detections=(det(2, 0.9, -e),))
+    with pytest.raises(ZeroNormError):
+        tracker.step(cancelling)
+    assert _tracker_state(tracker) == before
+    assert len(tracker.tracks[0].history) == 1 and tracker._last_frame == 1
+    with pytest.raises(ZeroNormError):  # not NonMonotonicFrameError
+        tracker.step(cancelling)
+    out = tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, unit(0, 1, 0)),)))
+    assert [(o.frame, o.track_id) for o in out] == [(2, 1)]
+    assert len(tracker.tracks[0].history) == 2
+
+
+def test_zero_weight_founding_leaves_the_tracker_as_it_was():
+    tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0, min_init_score=0.0))
+    before = _tracker_state(tracker)
+    with pytest.raises(ZeroWeightError):
+        tracker.step(FrameInput(frame=1, detections=(det(1, 0.0, unit(1, 0)),)))
+    assert _tracker_state(tracker) == before
+    # Neither the frame nor the length 2 was taken: frame 1 of length 3 steps.
+    out = tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(1, 0, 0)),)))
+    assert [(o.frame, o.track_id) for o in out] == [(1, 1)]
 
 
 # Scores on and either side of both band edges (low 0.4, high 0.8) and of the
