@@ -11,7 +11,7 @@ import time
 
 from . import io as seqio
 from . import synth as synthmod
-from .core import FrameInput, TrackerConfig, TrackOutput, group_by_frame
+from .core import FrameInput, TrackerConfig, group_by_frame
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -25,7 +25,7 @@ from .errors import (
     TrackingError,
     ZeroNormError,
 )
-from .metrics import evaluate
+from .metrics import _evaluate_tables
 from .tracker import run_sequence
 
 EXIT_CODES = [
@@ -119,15 +119,9 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gt = seqio.parse_gt(seqio.load_text(args.gt))
-    pred_entries = seqio.parse_gt(seqio.load_text(args.results))
-    # A results file reads back as gt entries; reuse them as track outputs.
-    pred = [
-        TrackOutput(frame=e.frame, track_id=e.identity, bbox=e.bbox,
-                    score=1.0, class_id=e.class_id)
-        for e in pred_entries
-    ]
-    report = evaluate(gt, pred, iou_gate=args.iou_gate)
+    gt = seqio._parse_box_table(seqio.load_text(args.gt))
+    pred = seqio._parse_box_table(seqio.load_text(args.results))
+    report = _evaluate_tables(gt, pred, iou_gate=args.iou_gate)
     if args.csv:
         print("mota,motp,fp,fn,idsw,idf1")
         print(f"{report.mota:.6f},{report.motp:.6f},{report.fp},{report.fn},"

@@ -50,14 +50,16 @@ def _box_columns(boxes) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4).T
 
 
-def iou_matrix(a, b) -> np.ndarray:
+def iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection-over-union of every box in `a` with every box in `b`.
 
-    Returns a (len(a), len(b)) float64 array, each entry in [0, 1]. Boxes
-    that only share an edge, or do not touch, have IoU exactly 0.0.
+    `a` and `b` are (4, n) float64 arrays of x, y, w, h rows, such as column
+    slices of a BoxTable. Returns a (n_a, n_b) float64 array, each entry in
+    [0, 1]. Boxes that only share an edge, or do not touch, have IoU exactly
+    0.0.
     """
-    ax, ay, aw, ah = _box_columns(a)
-    bx, by, bw, bh = _box_columns(b)
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
     # Overflowing boxes (sides near 1e308) stay quiet: their entries clamp to
     # 1.0 or read 0.0, as the one-pair float formula gives.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -70,6 +72,11 @@ def iou_matrix(a, b) -> np.ndarray:
         # (x + w) - x can exceed w in floats, pushing identical boxes past
         # 1.0; fmin, unlike minimum, also clamps an overflow's nan to 1.0.
         return np.fmin(1.0, out, out=out)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """iou_columns of two sequences of boxes: a (len(a), len(b)) float64 array."""
+    return iou_columns(_box_columns(a), _box_columns(b))
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -182,6 +189,41 @@ class GtEntry:
             raise ValueError(f"identity must be >= 1, got {self.identity}")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
+
+
+def _exact_column(values) -> np.ndarray:
+    """`values` as an integer array when numpy holds them exactly, else as objects.
+
+    Frames and ids past int64 (or ones that are not integers at all) keep
+    their Python values, so they compare and hash as they did in the records.
+    """
+    column = np.array(values)
+    return column if column.dtype.kind in "iu" else np.array(values, dtype=object)
+
+
+@dataclass(frozen=True)
+class BoxTable:
+    """Boxes keyed by (frame, id), one array per field, rows grouped by frame.
+
+    `frame`, `ids` and `class_id` are integer arrays, or object arrays where
+    the values do not fit one; `boxes` is (4, N) float64: x, y, w, h rows.
+    len() is the number of rows.
+    """
+
+    frame: np.ndarray
+    ids: np.ndarray
+    boxes: np.ndarray
+    class_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def from_records(cls, records, ids) -> "BoxTable":
+        """The table of `records` (GtEntry or TrackOutput) in their order, with `ids`."""
+        return cls(_exact_column([r.frame for r in records]), _exact_column(ids),
+                   _box_columns([r.bbox for r in records]),
+                   _exact_column([r.class_id for r in records]))
 
 
 @dataclass(frozen=True)

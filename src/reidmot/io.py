@@ -15,11 +15,15 @@ Results are written with 6-decimal reals; detection and ground-truth writers
 use repr floats so a write/parse round trip is lossless. Embeddings are
 written with 6-decimal components through one format template per row.
 
-An embedding text is first read in one columnar np.loadtxt pass; anything
-unusual in it goes to the line parser, the one home of the embedding rules
-and their messages, so both paths give the same vectors and the same errors.
-The line parser also names the line of a wrong length or a zero vector
-(DimensionMismatchError, ZeroNormError).
+Embedding texts, and the gt/results texts `reidmot eval` scores, are first
+read in one columnar np.loadtxt pass (_loadtxt, which drops blank and comment
+lines by the line parsers' rule). Anything unusual goes to the line parser,
+the one home of the rules and their line-numbered messages, so both paths
+give the same values and the same errors. For embeddings that is
+_parse_embedding_lines, which also names the line of a wrong length or a
+zero vector (DimensionMismatchError, ZeroNormError); for gt/results it is
+parse_gt, whose entries then become the same frame-sorted BoxTable
+(_parse_box_table) that a clean text gives, with no record built per row.
 """
 
 import os
@@ -31,6 +35,7 @@ import numpy as np
 from .core import (
     ZERO_NORM_EPS,
     BBox,
+    BoxTable,
     Detection,
     FrameInput,
     GtEntry,
@@ -132,38 +137,58 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
     return _parse_embedding_lines(source, expected_dim)
 
 
-def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
-    """The whole text in one np.loadtxt pass, or None to defer to the line parser.
+def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
+    """The data lines of `text` in one np.loadtxt pass, or None to defer.
 
-    Returns None for anything the line parser might reject or read
-    differently: no lines, blank lines, comments, ragged rows, text loadtxt
-    does not take or warns about (a key that is not an integer among
-    them), a key out of range or repeated, a wrong dimension, a
-    non-finite component, or a norm that normalize_embedding would reject
-    or that overflows. The vectors are row views of the loadtxt block,
-    normalized in place: a contiguous copy would raise the peak RSS by the
-    block's size. The row-matmul norm has the bits of np.linalg.norm on
-    each row; norm(axis=1) does not.
+    When the text has a `#` or an empty line, blank and comment lines are
+    dropped by _lines' rule; that check is cheap, so a clean text pays
+    little more. Otherwise a whitespace-only line defers, as loadtxt
+    refuses it. `row_dtype(first data line)` gives the structured dtype of
+    a row, or None to defer. Text loadtxt does not take or warns about (a
+    wrong field count, a ragged row, a number int()/float() would read
+    differently) also defers. A caller that defers re-reads the original
+    text with its line parser, so the messages keep their line numbers.
     """
     lines = text.splitlines()
-    dim = lines[0].count(",") - 1 if lines else 0
-    # loadtxt warns on no lines and, under max_rows, on a blank line.
-    if dim < 1 or (expected_dim is not None and expected_dim != dim) or "" in lines:
+    if "#" in text or "" in lines:
+        lines = [line for line in lines if (kept := line.strip()) and not kept.startswith("#")]
+    dtype = row_dtype(lines[0]) if lines else None  # loadtxt warns on no lines
+    if dtype is None:
         return None
     try:
-        # int64 keys, so that a key such as "1.0" or "1e0" is refused, as
-        # int() refuses it; float columns would take it. Older numpy read
-        # such a key through a float (1.9 -> 1) with only a
-        # DeprecationWarning, so every warning here is an error that defers
-        # to the line parser. max_rows sizes the block once; growing it
-        # raises the peak RSS.
+        # Integer fields, so that a key such as "1.0" or "1e0" is refused, as
+        # int() refuses it; float fields would take it. Older numpy read
+        # such a field through a float (1.9 -> 1) with only a
+        # DeprecationWarning, so every warning here is an error that defers.
+        # max_rows sizes the block once; growing it raises the peak RSS.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, max_rows=len(lines),
-                               dtype=[("key", np.int64, (2,)), ("vec", np.float64, (dim,))])
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                              max_rows=len(lines), dtype=dtype)
     except (ValueError, Warning):
         return None
-    del lines  # before the keys and the dict are built: a lower peak RSS
+
+
+def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
+    """The whole text read by _loadtxt, or None to defer to the line parser.
+
+    Returns None for anything the line parser might reject or read
+    differently: whatever _loadtxt defers, a key out of range or repeated,
+    a wrong dimension, a non-finite component, or a norm that
+    normalize_embedding would reject or that overflows. The vectors are
+    row views of the loadtxt block, normalized in place: a contiguous copy
+    would raise the peak RSS by the block's size. The row-matmul norm has
+    the bits of np.linalg.norm on each row; norm(axis=1) does not.
+    """
+    def row_dtype(first_line):
+        dim = first_line.count(",") - 1
+        if dim < 1 or (expected_dim is not None and expected_dim != dim):
+            return None
+        return [("key", np.int64, (2,)), ("vec", np.float64, (dim,))]
+
+    block = _loadtxt(text, row_dtype)
+    if block is None:
+        return None
     keys, vecs = block["key"], block["vec"]
     if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
         return None
@@ -266,6 +291,33 @@ def parse_gt(source) -> list[GtEntry]:
         entries.append(entry)
     entries.sort(key=lambda e: (e.frame, e.identity))
     return entries
+
+
+_BOX_ROW = np.dtype([("key", np.int64, (2,)), ("box", np.float64, (4,)), ("score", np.float64),
+                     ("class_id", np.int64), ("flag", np.float64)])
+
+
+def _parse_box_table(text: str) -> BoxTable:
+    """parse_gt as a BoxTable sorted by (frame, id), with the same errors.
+
+    A clean text is read by _loadtxt into columns and checked as a whole;
+    anything parse_gt might reject or read differently (no rows, an
+    identity or frame below 1, a class below 0, a non-finite box, a side
+    of 0 or less, a repeated (frame, id)) defers to parse_gt, the one home
+    of the field rules and the line-numbered messages, whose entries then
+    become the table.
+    """
+    block = _loadtxt(text, lambda first_line: _BOX_ROW)
+    if block is not None:
+        block = block[np.lexsort(block["key"].T[::-1])]  # by frame, then id
+        (frame, ids), boxes, class_id = block["key"].T, block["box"].T, block["class_id"]
+        valid = ((frame >= 1) & (ids >= 1) & (class_id >= 0)
+                 & np.isfinite(boxes).all(axis=0) & (boxes[2] > 0) & (boxes[3] > 0))
+        repeated = (frame[1:] == frame[:-1]) & (ids[1:] == ids[:-1])
+        if valid.all() and not repeated.any():
+            return BoxTable(frame, ids, boxes, class_id)
+    entries = parse_gt(text)
+    return BoxTable.from_records(entries, [e.identity for e in entries])
 
 
 def write_detections(detections) -> str:

@@ -4,8 +4,15 @@ Frame-level matching follows the CLEAR protocol: a ground-truth identity keeps
 the predicted track it was last paired with as long as their boxes still
 overlap at the gate, and only the leftovers go through a fresh Hungarian match
 on 1 - IoU. MOTP here is the mean matched *distance* (1 - IoU), so 0.0 is
-perfect and lower is better. Each frame's gt x pred IoU matrix is built once
-(`core.iou_matrix`); `evaluate` shares it between CLEAR-MOT and IDF1.
+perfect and lower is better.
+
+One core scores two BoxTables (`core`): it walks both frame by frame and
+builds each frame's gt x pred IoU matrix once, on column slices
+(`core.iou_columns`), for CLEAR-MOT and IDF1 to share. `evaluate`,
+`clear_mot` and `idf1` check their records and turn them into tables, gt
+sorted by (frame, identity) and predictions stably by frame, so input order
+is kept within a frame; `reidmot eval` reads its two files straight into
+tables (`io`) and calls the same core.
 """
 
 from collections import Counter
@@ -17,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from .assign import gate_costs, solve_assignment
 # Nothing here calls `iou`; it is imported so that callers which patch
 # `metrics.iou`, such as the benchmark's call counter, still find it.
-from .core import group_by_frame, iou, iou_matrix  # noqa: F401
+from .core import BoxTable, iou, iou_columns  # noqa: F401
 from .errors import ConfigError, DuplicateEntryError, EmptyGtError
 
 
@@ -46,11 +53,15 @@ class EvalReport:
     num_gt: int
 
 
-def _check_inputs(gt, pred, iou_gate: float):
+def _check_gate(iou_gate: float, num_gt: int):
     if not (0.0 < iou_gate <= 1.0):
         raise ConfigError(f"iou_gate must be in (0, 1], got {iou_gate}")
-    if not gt:
+    if not num_gt:
         raise EmptyGtError("ground truth is empty")
+
+
+def _check_inputs(gt, pred, iou_gate: float):
+    _check_gate(iou_gate, len(gt))
     _check_unique(((e.frame, e.identity) for e in gt), "ground truth", "identity")
     _check_unique(((o.frame, o.track_id) for o in pred), "predictions", "track id")
 
@@ -66,18 +77,34 @@ def _check_unique(keys, what: str, id_name: str):
         seen.add(key)
 
 
-def _frame_ious(gt, pred):
-    """Yield (gts, preds, ious) for every frame either side has, ascending.
+def _tables(gt, pred) -> tuple[BoxTable, BoxTable]:
+    """Checked records as tables: gt by (frame, identity), pred stably by frame."""
+    gt = sorted(gt, key=lambda e: (e.frame, e.identity))
+    pred = sorted(pred, key=lambda o: o.frame)
+    return (BoxTable.from_records(gt, [e.identity for e in gt]),
+            BoxTable.from_records(pred, [o.track_id for o in pred]))
 
-    gts are sorted by identity, preds keep their input order, and ious is
-    their (len(gts), len(preds)) IoU matrix.
+
+def _frame_rows(frame: np.ndarray) -> dict:
+    """{frame: slice of its rows} for a column whose equal frames are adjacent."""
+    if not len(frame):
+        return {}
+    cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(frame)]
+    return dict(zip(frame[starts].tolist(), map(slice, starts, ends)))
+
+
+def _frame_ious(gt: BoxTable, pred: BoxTable):
+    """Yield (gt ids, pred ids, ious) for every frame either side has, ascending.
+
+    The ids are lists in table order and ious is their IoU matrix.
     """
-    gt_frames = group_by_frame(gt)
-    pred_frames = group_by_frame(pred)
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        gts = sorted(gt_frames.get(frame, []), key=lambda e: e.identity)
-        preds = pred_frames.get(frame, [])
-        yield gts, preds, iou_matrix([g.bbox for g in gts], [p.bbox for p in preds])
+    gt_rows, pred_rows = _frame_rows(gt.frame), _frame_rows(pred.frame)
+    gt_ids, pred_ids = gt.ids.tolist(), pred.ids.tolist()
+    no_rows = slice(0, 0)
+    for frame in sorted(gt_rows.keys() | pred_rows.keys()):
+        g, p = gt_rows.get(frame, no_rows), pred_rows.get(frame, no_rows)
+        yield gt_ids[g], pred_ids[p], iou_columns(gt.boxes[:, g], pred.boxes[:, p])
 
 
 def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
@@ -89,7 +116,7 @@ def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
     a track id different from the one of its most recent earlier pairing.
     """
     _check_inputs(gt, pred, iou_gate)
-    return _clear_mot(_frame_ious(gt, pred), len(gt), iou_gate)
+    return _clear_mot(_frame_ious(*_tables(gt, pred)), len(gt), iou_gate)
 
 
 def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
@@ -98,20 +125,20 @@ def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
     dist_sum = 0.0
     n_matches = 0
 
-    for gts, preds, ious in frames:
-        col_of = {p.track_id: j for j, p in enumerate(preds)}
+    for gt_ids, pred_ids, ious in frames:
+        col_of = {tid: j for j, tid in enumerate(pred_ids)}
         pairs = []  # (gt row, pred column)
         free_rows = []
         taken = set()
         # Keep last-known pairings that still hold up at the gate.
-        for i, g in enumerate(gts):
-            j = col_of.get(last_pairing.get(g.identity))
+        for i, identity in enumerate(gt_ids):
+            j = col_of.get(last_pairing.get(identity))
             if j is not None and j not in taken and ious[i, j] >= iou_gate:
                 pairs.append((i, j))
                 taken.add(j)
             else:
                 free_rows.append(i)
-        free_cols = [j for j in range(len(preds)) if j not in taken]
+        free_cols = [j for j in range(len(pred_ids)) if j not in taken]
 
         # Fresh Hungarian match on whatever is left.
         if free_rows and free_cols:
@@ -125,7 +152,7 @@ def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
             fp += len(free_cols)
 
         for i, j in pairs:
-            identity, tid = gts[i].identity, preds[j].track_id
+            identity, tid = gt_ids[i], pred_ids[j]
             prev = last_pairing.get(identity)
             if prev is not None and prev != tid:
                 idsw += 1
@@ -146,14 +173,14 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
     maximizes total overlap. Conventions: empty predictions give idp = 0.
     """
     _check_inputs(gt, pred, iou_gate)
-    return _idf1(_frame_ious(gt, pred), len(gt), len(pred), iou_gate)
+    return _idf1(_frame_ious(*_tables(gt, pred)), len(gt), len(pred), iou_gate)
 
 
 def _idf1(frames, total_gt: int, total_pred: int, iou_gate: float):
     overlap = Counter()
-    for gts, preds, ious in frames:
-        for i, j in zip(*np.nonzero(ious >= iou_gate)):
-            overlap[(gts[i].identity, preds[j].track_id)] += 1
+    for gt_ids, pred_ids, ious in frames:
+        rows, cols = np.nonzero(ious >= iou_gate)
+        overlap.update((gt_ids[i], pred_ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
     idtp = 0
     if overlap:
@@ -181,6 +208,16 @@ def evaluate(gt, pred, iou_gate: float = 0.5) -> EvalReport:
     Each frame's IoU matrix is built once and read by both.
     """
     _check_inputs(gt, pred, iou_gate)
+    return _evaluate_tables(*_tables(gt, pred), iou_gate)
+
+
+def _evaluate_tables(gt: BoxTable, pred: BoxTable, iou_gate: float) -> EvalReport:
+    """evaluate on two tables whose (frame, id) keys do not repeat.
+
+    Rows of a frame must be adjacent; within a frame, gt rows are in
+    identity order and pred rows in the order matching should see them.
+    """
+    _check_gate(iou_gate, len(gt))
     frames = list(_frame_ious(gt, pred))
     cm = _clear_mot(frames, len(gt), iou_gate)
     f1, idp, idr = _idf1(frames, len(gt), len(pred), iou_gate)

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+import reidmot.io as seqio
 from reidmot.cli import main
 from reidmot.io import load_text, parse_detections, parse_gt
 
@@ -102,6 +103,59 @@ def test_empty_gt_exits_9(tmp_path, capsys):
     rc = main(["eval", str(gt), str(res)])
     assert rc == 9
     capsys.readouterr()
+
+
+GOOD_BOXES = "1,1,0,0,10,10,1,0,1\n"
+BAD_LINE_2 = GOOD_BOXES + "1,2,0,0,10\n"  # 5 fields
+DUPLICATE_LINE_2 = GOOD_BOXES + "1,1,5,5,10,10,1,0,1\n"
+HEADER_ONLY = "# header only\n"
+
+
+# gt file errors first, then results file errors, then --iou-gate, then empty gt.
+@pytest.mark.parametrize("gt_text, res_text, gate, code, message", [
+    (BAD_LINE_2, "x\n", "0", 3, "error: line 2: expected 9 fields, got 5"),
+    (BAD_LINE_2, DUPLICATE_LINE_2, "0.5", 3, "error: line 2: expected 9 fields"),
+    (DUPLICATE_LINE_2, "x\n", "0", 7, "error: line 2: duplicate entry"),
+    (GOOD_BOXES, "x\n", "0", 3, "error: line 1: expected 9 fields, got 1"),
+    (HEADER_ONLY, DUPLICATE_LINE_2, "0", 7, "error: line 2: duplicate entry"),
+    (HEADER_ONLY, GOOD_BOXES, "0", 11, "error: iou_gate must be in (0, 1], got 0.0"),
+    (HEADER_ONLY, GOOD_BOXES, "0.5", 9, "error: ground truth is empty"),
+])
+def test_eval_error_precedence(tmp_path, capsys, gt_text, res_text, gate, code, message):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(gt_text)
+    res = tmp_path / "res.txt"
+    res.write_text(res_text)
+    rc = main(["eval", str(gt), str(res), "--iou-gate", gate])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_eval_scores_frames_and_ids_past_int64(tmp_path, capsys):
+    big = 2**70
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"{big},{big},0,0,10,10,1,0,1\n{big + 1},{big},0,0,10,10,1,0,1\n")
+    res = tmp_path / "res.txt"
+    res.write_text(f"{big},{2**64},0,0,10,10,1,0,-1\n{big + 1},{2**64},0,0,10,10,1,0,-1\n")
+    rc = main(["eval", str(gt), str(res), "--csv"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1.000000,0.000000,0,0,0,1.000000"
+
+
+def test_eval_reads_written_files_without_the_line_parser(tmp_path, capsys, monkeypatch):
+    # A writer change that sent eval back to parse_gt, as a header comment
+    # once sent the embedding parse to its line parser, would fail here.
+    det, emb, gt = _synth(tmp_path, "--clutter-rate", "2", "--dropout-prob", "0.1")
+    results = tmp_path / "results.txt"
+    assert main(["track", str(det), str(emb), str(results)]) == 0
+    capsys.readouterr()
+    want = (main(["eval", str(gt), str(results)]), capsys.readouterr())
+
+    def no_line_parser(source):
+        raise AssertionError("reidmot eval read a written file with parse_gt")
+
+    monkeypatch.setattr(seqio, "parse_gt", no_line_parser)
+    assert (main(["eval", str(gt), str(results)]), capsys.readouterr()) == want
 
 
 def test_bad_tracker_config_exits_11(tmp_path, capsys):

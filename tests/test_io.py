@@ -171,6 +171,48 @@ def test_clean_embedding_file_takes_the_columnar_path(monkeypatch):
     assert block is not None and all(v.base is block for v in emb.values())
 
 
+CLEAN_EMBEDDINGS = "1,0,3,4\n1,1,0,2\n2,0,-1,0\n"
+
+
+@pytest.mark.parametrize("text", [
+    "# frame,index,v1,v2\n" + CLEAN_EMBEDDINGS,
+    CLEAN_EMBEDDINGS + "\n",
+    "\n  # made by hand\n" + CLEAN_EMBEDDINGS.replace("\n", "\r\n") + "   \r\n",
+], ids=["header", "trailing-blank", "crlf-blank-and-indented-comment"])
+def test_comment_and_blank_lines_keep_the_columnar_path(text, monkeypatch):
+    want = parse_embeddings(CLEAN_EMBEDDINGS)
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran on a file with only comments added")
+
+    monkeypatch.setattr(seqio, "_parse_embedding_lines", no_line_parser)
+    emb = parse_embeddings(text)
+    assert list(emb) == list(want)
+    assert all(emb[k].tobytes() == want[k].tobytes() for k in want)
+
+
+CLEAN_BOXES = "2,1,0,0,10,10,1,0,1\n1,2,5,5,10,10,1,0,1\n1,1,0.5,0,4,8,1,3,-1\n"
+
+
+@pytest.mark.parametrize("text", [
+    CLEAN_BOXES,
+    "# frame,id,x,y,w,h,score,class,flag\n" + CLEAN_BOXES + "\n",
+    CLEAN_BOXES.replace("\n", "\r\n") + "\r\n  # end\r\n",
+], ids=["clean", "header-and-trailing-blank", "crlf-and-comment"])
+def test_box_table_of_a_clean_file_skips_the_line_parser(text, monkeypatch):
+    entries = parse_gt(CLEAN_BOXES)  # sorted by (frame, identity)
+
+    def no_line_parser(source):
+        raise AssertionError("parse_gt ran on a clean file")
+
+    monkeypatch.setattr(seqio, "parse_gt", no_line_parser)
+    table = seqio._parse_box_table(text)
+    assert table.frame.tolist() == [e.frame for e in entries]
+    assert table.ids.tolist() == [e.identity for e in entries]
+    assert table.class_id.tolist() == [e.class_id for e in entries]
+    assert table.boxes.T.tolist() == [[e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h] for e in entries]
+
+
 FLOAT_KEY_TEXTS = ["1.0,0,0.6,0.8\n", "1,0.5,0.6,0.8\n", "1.9,0,0.6,0.8\n"]
 
 

@@ -18,7 +18,8 @@ from reidmot import (
     iou,
     parse_gt,
 )
-from reidmot.io import load_text
+from reidmot.io import _parse_box_table, load_text
+from reidmot.metrics import _evaluate_tables
 
 from oracles import brute_force_assignment, reference_evaluate
 
@@ -288,3 +289,78 @@ def test_evaluate_equals_pairwise_reference(seq, gate):
     assert (cm.mota, cm.motp, cm.fp, cm.fn, cm.idsw) == tuple(
         want[k] for k in ("mota", "motp", "fp", "fn", "idsw"))
     assert idf1(g, p, gate) == (want["idf1"], want["idp"], want["idr"])
+
+
+def test_frames_and_ids_past_int64():
+    big = 2**70
+    g = [gt(big, big), gt(big + 1, big), gt(big + 1, 1, BBox(50, 0, 10, 10))]
+    p = [out(big, 2**64), out(big + 1, 2**64), out(big + 1, -big, BBox(50, 0, 10, 10))]
+    rep = evaluate(g, p)
+    assert (rep.mota, rep.motp, rep.idf1, rep.idsw) == (1.0, 0.0, 1.0, 0)
+
+
+# Field texts the table reader and parse_gt might read differently: signs,
+# padding, leading zeros, separators, floats and exponents int() rejects,
+# hex, full-width digits, keys past int64, non-finite and overflowing
+# values, zero and negative sides, empties.
+INT_TEXTS = ["0", "1", "2", "-1", "+1", " 1", "0001", "1_0", "1.0", "1e0", "0x1", "１",
+             "9223372036854775808", "99999999999999999999", ""]
+REAL_TEXTS = ["0", "-0.0", "-2", "2", "+1", " 3", "1_0", "0x1", "１", "1d5", ".5",
+              "inf", "-inf", "nan", "1e400", "1e-400", ""]
+# (column, text) of a number parse_gt reads but its record types reject.
+OUT_OF_RANGE = [(0, "0"), (0, "-1"), (1, "0"), (1, "-2"), (4, "0"), (4, "-2"),
+                (5, "-0.0"), (5, "1e-400"), (7, "-1")]
+
+
+@st.composite
+def box_files(draw):
+    """gt/results texts: rows like "1,2,0,1,3,3,1,0,1" on a small grid, some
+    mutated, with repeated keys, ragged rows, comment and blank lines, LF or
+    CRLF endings, and empty files."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), unique=True,
+                         min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=8))
+    grid, side = st.integers(0, 3), st.sampled_from([2, 3, 4.5])
+    rows = [",".join(map(str, [f, i, draw(grid), draw(grid), draw(side), draw(side), 1,
+                               draw(st.integers(0, 1)), draw(st.sampled_from([1, -1]))]))
+            for f, i in keys]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3])) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        fields = rows[at].split(",")
+        kind = draw(st.sampled_from(["field", "field", "range", "range", "repeat", "short", "long"]))
+        if kind == "field":
+            col = draw(st.integers(0, len(fields) - 1))
+            fields[col] = draw(st.sampled_from(INT_TEXTS if col in (0, 1, 7) else REAL_TEXTS))
+        elif kind == "range":
+            col, text = draw(st.sampled_from(OUT_OF_RANGE))
+            fields[col] = text
+        elif kind == "repeat":
+            fields[:2] = draw(st.sampled_from(rows)).split(",")[:2]
+        else:
+            fields = fields[:-1] if kind == "short" else fields + ["1"]
+        rows[at] = ",".join(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", "# frame,id,x,y,w,h,score,class,flag", "  #1", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(run):
+    try:
+        return repr(run())  # float reprs: equal strings are equal bits
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=500, database=None, deadline=None)
+@given(box_files(), box_files(), st.sampled_from([0.5, 1 / 3, 1.0, 1e-9, 0.0]))
+def test_table_path_equals_the_record_path(gt_text, res_text, gate):
+    def records():
+        g, r = parse_gt(gt_text), parse_gt(res_text)
+        return evaluate(g, [TrackOutput(e.frame, e.identity, e.bbox, 1.0, e.class_id)
+                            for e in r], gate)
+
+    def tables():
+        return _evaluate_tables(_parse_box_table(gt_text), _parse_box_table(res_text), gate)
+
+    assert _outcome(tables) == _outcome(records)
