@@ -13,7 +13,9 @@ whose ValueError the parsers re-raise as a ParseError for the line.
 
 Results are written with 6-decimal reals; detection and ground-truth writers
 use repr floats so a write/parse round trip is lossless. Embeddings are
-written with 6-decimal components through one format template per row.
+written with 6-decimal components: one numpy kernel formats every row whose
+"%.6f" text it can prove (_format_rows), and the one row template,
+",".join(["%.6f"] * d), formats the rest, so both give the same bytes.
 
 Embedding texts, and the gt/results texts `reidmot eval` scores, are first
 read in one columnar np.loadtxt pass (_loadtxt, which drops blank and comment
@@ -140,18 +142,33 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
     """The data lines of `text` in one np.loadtxt pass, or None to defer.
 
-    When the text has a `#` or an empty line, blank and comment lines are
-    dropped by _lines' rule; that check is cheap, so a clean text pays
-    little more. Otherwise a whitespace-only line defers, as loadtxt
-    refuses it. `row_dtype(first data line)` gives the structured dtype of
-    a row, or None to defer. Text loadtxt does not take or warns about (a
-    wrong field count, a ragged row, a number int()/float() would read
-    differently) also defers. A caller that defers re-reads the original
-    text with its line parser, so the messages keep their line numbers.
+    Blank, whitespace-only and comment lines are dropped by _lines' rule.
+    When the text has a `#` or an empty line that is done first; otherwise
+    the lines go to loadtxt as they are, and only if it refuses them and
+    the rule drops a line (one of spaces, say) is the pass retried once on
+    the kept lines. So a clean text pays no per-line check.
+    `row_dtype(first data line)` gives the structured dtype of a row, or
+    None to defer. Text loadtxt does not take or warns about (a wrong field
+    count, a ragged row, a number int()/float() would read differently)
+    also defers. A caller that defers re-reads the original text with its
+    line parser, so the messages keep their line numbers.
     """
     lines = text.splitlines()
     if "#" in text or "" in lines:
-        lines = [line for line in lines if (kept := line.strip()) and not kept.startswith("#")]
+        return _loadtxt_lines(_data_lines(lines), row_dtype)
+    block = _loadtxt_lines(lines, row_dtype)
+    if block is None and len(kept := _data_lines(lines)) < len(lines):
+        block = _loadtxt_lines(kept, row_dtype)
+    return block
+
+
+def _data_lines(lines: list[str]) -> list[str]:
+    """The lines _lines keeps: not blank, not whitespace only, not a comment."""
+    return [line for line in lines if (kept := line.strip()) and not kept.startswith("#")]
+
+
+def _loadtxt_lines(lines: list[str], row_dtype) -> np.ndarray | None:
+    """np.loadtxt of data lines into rows of `row_dtype`, or None to defer."""
     dtype = row_dtype(lines[0]) if lines else None  # loadtxt warns on no lines
     if dtype is None:
         return None
@@ -335,13 +352,13 @@ def write_detections(detections) -> str:
 def write_embeddings(frames) -> str:
     """Embedding lines (6-decimal components) for every detection that has one.
 
-    Every row is formatted by one template, so every embedding must be 1-D
-    and as long as the first one, which must not be empty; anything else
-    raises DimensionMismatchError rather than write a file that
-    parse_embeddings rejects.
+    Every row is formatted as one template would format it, so every
+    embedding must be 1-D and as long as the first one, which must not be
+    empty; anything else raises DimensionMismatchError rather than write a
+    file that parse_embeddings rejects.
     """
-    lines = []
-    shape = row_fmt = None
+    keys, embs = [], []
+    shape = None
     for fi in frames:
         for index, det in enumerate(fi.detections):
             emb = det.embedding
@@ -359,9 +376,67 @@ def write_embeddings(frames) -> str:
                         f"{emb.shape[0]}, expected {shape[0]}"
                     )
                 shape = emb.shape
-                row_fmt = ",".join(["%.6f"] * shape[0])
-            lines.append(f"{fi.frame},{index}," + row_fmt % tuple(emb.tolist()))
-    return "".join(line + "\n" for line in lines)
+            keys.append(f"{fi.frame},{index},")
+            embs.append(emb)
+    if not embs:
+        return ""
+    return "".join(key + row + "\n" for key, row in zip(keys, _format_rows(embs)))
+
+
+# A component as the kernel writes it: 10 bytes, a sign byte (0, a pad, for
+# a value that is not negative) and the integer digit as one 16-bit word,
+# then ".", the six fraction digits and the separator as one 64-bit word.
+_COMPONENT = np.dtype([("head", "<u2"), ("tail", "<u8")])
+# The tail word's bytes, by the value of the digits they hold: "." and the
+# first three fraction digits (bytes 0-3), then the last three (bytes 4-6).
+# The separator is byte 7.
+_FRACTION_HIGH = np.frombuffer("".join(f".{i:03d}" for i in range(1000)).encode(),
+                               "<u4").astype(np.uint64)
+_FRACTION_LOW = np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(),
+                              "<u4").astype(np.uint64) << np.uint64(32)
+
+
+def _format_rows(embs: list[np.ndarray]) -> list[str]:
+    """Each embedding as ",".join(["%.6f"] * d) % tuple(emb.tolist()) gives it.
+
+    One kernel formats every row it can prove: k = rint(v * 1e6) in a
+    float64 matrix, the sign from signbit (so -0.0 and -4e-7 give
+    "-0.000000"), the digits of |k| as byte words, the pad bytes dropped
+    with one mask and the text decoded once. A row whose dtype is not
+    real, or with a component that is not finite, rounds to 10 or more, or
+    whose product v * 1e6 lies exactly halfway between two integers, goes
+    through the template instead.
+
+    "%.6f" rounds the exact v * 10**6 to the nearest integer. The float64
+    product is correctly rounded, so it is monotone in the exact one, and
+    k - 0.5 and k + 0.5 are doubles (|k| < 1e7): a product strictly within
+    0.5 of k means the exact one is too, and rounds to k. Only a product
+    on a tie leaves the exact one's side unknown.
+    """
+    dim = embs[0].shape[0]
+    nan_row = np.full(dim, np.nan)  # a row the kernel leaves to the template
+    matrix = np.array([e if e.dtype.kind in "biuf" else nan_row for e in embs], np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fall back
+        scaled = matrix * 1e6
+        k = np.rint(scaled)
+        provable = ((np.abs(scaled - k) < 0.5) & (np.abs(k) < 1e7)).all(axis=1)
+    if not provable.all():
+        matrix, k = matrix[provable], k[provable]
+    magnitude = np.abs(k).astype(np.int32)
+    thousands = magnitude // 1000
+    integer = thousands // 1000
+    separators = np.full(dim, ord(",") << 56, np.uint64)
+    separators[-1] = ord("\n") << 56
+    plane = np.empty(k.shape, _COMPONENT)
+    plane["head"] = ((integer.astype(np.uint16) + ord("0")) << 8
+                     | np.where(np.signbit(matrix), np.uint16(ord("-")), np.uint16(0)))
+    plane["tail"] = (_FRACTION_HIGH[thousands - integer * 1000]
+                     | _FRACTION_LOW[magnitude - thousands * 1000] | separators)
+    chars = plane.view(np.uint8).ravel()
+    rows = iter(chars[chars != 0].tobytes().decode("ascii").split("\n"))
+    row_fmt = ",".join(["%.6f"] * dim)
+    return [next(rows) if exact else row_fmt % tuple(emb.tolist())
+            for emb, exact in zip(embs, provable.tolist())]
 
 
 def write_results(outputs) -> str:

@@ -1,10 +1,11 @@
 """Seeded synthetic tracking scenarios with exact ground truth.
 
-Identities get well-separated unit appearance vectors (rejection sampling),
-move on constant-velocity paths that reflect off the arena walls, and are
-observed each frame through optional embedding noise, score dips, dropout,
-and Poisson background clutter. Everything is driven by one numpy PCG64
-generator, so a ScenarioSpec is a complete, reproducible description:
+Identities get well-separated unit appearance vectors (rejection sampling:
+one matrix-vector product checks each candidate against every placed
+vector), move on constant-velocity paths that reflect off the arena walls,
+and are observed each frame through optional embedding noise, score dips,
+dropout, and Poisson background clutter. Everything is driven by one numpy
+PCG64 generator, so a ScenarioSpec is a complete, reproducible description:
 equal spec in, byte-equal scenario out.
 """
 
@@ -20,6 +21,9 @@ from .io import SequenceBundle, save_text, write_detections, write_embeddings, w
 BOX_SIZE = 40.0
 BASE_SCORE = 0.95
 MAX_SAMPLING_ATTEMPTS = 100_000
+# Far above the rounding gap between two sums of the d products of two unit
+# vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
+_SIMILARITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,22 @@ class ScenarioSpec:
 
 
 def _sample_bases(rng, spec) -> np.ndarray:
-    """Unit vectors with pairwise cosine similarity <= 1 - min separation."""
+    """Unit vectors with pairwise cosine similarity <= 1 - min separation.
+
+    A candidate is checked against every placed base with one matrix-vector
+    product. The product and a per-pair np.dot may differ in the last bits,
+    so a similarity within _SIMILARITY_SLACK of the bound is checked again
+    with np.dot, the test the bases were always held to.
+    """
     max_sim = 1.0 - spec.min_identity_separation
-    bases: list[np.ndarray] = []
-    attempts = 0
-    while len(bases) < spec.num_identities:
+    # An attempt places at most one base, so more rows are never filled.
+    bases = np.empty((min(spec.num_identities, MAX_SAMPLING_ATTEMPTS), spec.embedding_dim))
+    placed = attempts = 0
+    while placed < spec.num_identities:
         attempts += 1
         if attempts > MAX_SAMPLING_ATTEMPTS:
             raise SeparationInfeasibleError(
-                f"placed {len(bases)} of {spec.num_identities} identities in "
+                f"placed {placed} of {spec.num_identities} identities in "
                 f"{MAX_SAMPLING_ATTEMPTS} attempts at separation "
                 f"{spec.min_identity_separation}"
             )
@@ -108,9 +119,14 @@ def _sample_bases(rng, spec) -> np.ndarray:
         if norm < 1e-9:
             continue
         cand /= norm
-        if all(float(np.dot(cand, b)) <= max_sim for b in bases):
-            bases.append(cand)
-    return np.array(bases).reshape(len(bases), spec.embedding_dim)
+        sims = bases[:placed] @ cand
+        if (sims > max_sim + _SIMILARITY_SLACK).any():
+            continue
+        near = bases[:placed][sims > max_sim - _SIMILARITY_SLACK]
+        if all(float(np.dot(cand, b)) <= max_sim for b in near):
+            bases[placed] = cand
+            placed += 1
+    return bases
 
 
 def _dipped_score(spec, frame: int, identity: int) -> float:

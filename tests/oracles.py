@@ -5,15 +5,21 @@ an exhaustive permutation search, the feature oracle is a plain-Python
 re-derivation with fsum accumulation, the tracker oracle is a per-track loop
 over those two, and the box-overlap oracles (IoU, CLEAR-MOT, IDF1, NMS) are
 the one-pair-at-a-time forms the package used before it built IoU matrices,
-and the embedding writer formats one component at a time, as the package did
-before it formatted each row with one template.
+the embedding writer formats one component at a time, as the package did
+before it formatted each row with one template, and the identity-base
+sampler checks a candidate against one placed base at a time with np.dot,
+as the package did before it checked all of them with one product (it
+raises the package's error class, whose message the tests compare).
 If the fast paths drift, these catch it.
 """
 
 import itertools
 import math
 
+import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from reidmot.errors import SeparationInfeasibleError
 
 
 def brute_force_assignment(costs):
@@ -292,3 +298,29 @@ def component_format_embeddings(frames):
             vec = ",".join(f"{v:.6f}" for v in det.embedding)
             lines.append(f"{fi.frame},{index},{vec}")
     return "".join(line + "\n" for line in lines)
+
+
+def loop_sample_bases(rng, num_identities, dim, separation, max_attempts):
+    """Unit vectors with pairwise cosine similarity <= 1 - separation, by
+    rejection sampling from `rng` with one np.dot per (candidate, base) pair.
+
+    Raises SeparationInfeasibleError after `max_attempts` candidates.
+    """
+    max_sim = 1.0 - separation
+    bases = []
+    attempts = 0
+    while len(bases) < num_identities:
+        attempts += 1
+        if attempts > max_attempts:
+            raise SeparationInfeasibleError(
+                f"placed {len(bases)} of {num_identities} identities in "
+                f"{max_attempts} attempts at separation {separation}"
+            )
+        cand = rng.normal(size=dim)
+        norm = np.linalg.norm(cand)
+        if norm < 1e-9:
+            continue
+        cand /= norm
+        if all(float(np.dot(cand, b)) <= max_sim for b in bases):
+            bases.append(cand)
+    return np.array(bases).reshape(len(bases), dim)

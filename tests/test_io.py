@@ -213,6 +213,43 @@ def test_box_table_of_a_clean_file_skips_the_line_parser(text, monkeypatch):
     assert table.boxes.T.tolist() == [[e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h] for e in entries]
 
 
+@pytest.mark.parametrize("text", [
+    CLEAN_EMBEDDINGS + "   \n",
+    "\t\n" + CLEAN_EMBEDDINGS,
+    CLEAN_EMBEDDINGS.replace("\n", "\n \t \n", 1),
+    CLEAN_EMBEDDINGS.replace("\n", "\r\n") + "  \r\n",
+], ids=["trailing-spaces", "leading-tab", "inner-mixed", "crlf-trailing-spaces"])
+def test_whitespace_only_lines_keep_the_columnar_embedding_path(text, monkeypatch):
+    # No `#` and no empty line: loadtxt refuses the first pass, and the
+    # retry on the lines _lines keeps takes the file.
+    want = parse_embeddings(CLEAN_EMBEDDINGS)
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran on a file with only blank lines added")
+
+    monkeypatch.setattr(seqio, "_parse_embedding_lines", no_line_parser)
+    emb = parse_embeddings(text)
+    assert list(emb) == list(want)
+    assert all(emb[k].tobytes() == want[k].tobytes() for k in want)
+
+
+@pytest.mark.parametrize("text", [
+    CLEAN_BOXES + " \t\n",
+    "   \n" + CLEAN_BOXES,
+    CLEAN_BOXES.replace("\n", "\r\n\t\r\n", 1),
+], ids=["trailing-space-tab", "leading-spaces", "crlf-inner-tab"])
+def test_whitespace_only_lines_keep_the_columnar_box_path(text, monkeypatch):
+    want = seqio._parse_box_table(CLEAN_BOXES)
+
+    def no_line_parser(source):
+        raise AssertionError("parse_gt ran on a file with only blank lines added")
+
+    monkeypatch.setattr(seqio, "parse_gt", no_line_parser)
+    table = seqio._parse_box_table(text)
+    for column in ("frame", "ids", "class_id", "boxes"):
+        assert getattr(table, column).tobytes() == getattr(want, column).tobytes()
+
+
 FLOAT_KEY_TEXTS = ["1.0,0,0.6,0.8\n", "1,0.5,0.6,0.8\n", "1.9,0,0.6,0.8\n"]
 
 
@@ -629,3 +666,78 @@ def embedded_frames(draw):
 @given(embedded_frames())
 def test_write_embeddings_matches_the_component_writer(frames):
     assert write_embeddings(frames) == component_format_embeddings(frames)
+
+
+def _around(x):
+    """x and the doubles on either side of it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Values whose "%.6f" text a kernel could get wrong: exact 7th-decimal ties,
+# the doubles around (k + 0.5) * 1e-6, values that round up to 10, signed
+# zeros and values that round to them, and magnitudes past the integer digit.
+EDGE_VALUES = [
+    0.0078125, -0.0078125, 0.9921875, -0.9921875,
+    *[v for k in (0, 1, 7, 499999, 999999, 1234567, 9999998)
+      for sign in (1, -1) for v in _around(sign * (k + 0.5) * 1e-6)],
+    *_around(9.9999995), *_around(-9.9999995), 9.999999, -9.999999, 10.0, -10.0,
+    0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e20, -1e20, 1e300, -1e300,
+]
+
+
+def _edge_frames(values, dim, rng, dtype=np.float64):
+    """One row per value, the value at a random place among ordinary ones."""
+    rows = []
+    for value in values:
+        row = rng.uniform(-1, 1, dim)
+        row[rng.integers(dim)] = value
+        rows.append(row.astype(dtype))
+    return [_frame(*rows[i:i + 3], frame=f) for f, i in enumerate(range(0, len(rows), 3), start=1)]
+
+
+def _write_cases():
+    rng = np.random.default_rng(9)
+    nonfinite = [np.nan, np.inf, -np.inf, -np.nan]
+    ints = [np.array([-3, 0, 7, 12, -10]), np.array([1, 2, 3, 4, 5], dtype=np.uint8),
+            np.array([True, False, True, False, True])]
+    return {
+        "edge-values": _edge_frames(EDGE_VALUES, 4, rng),
+        "edge-values-one-column": [_frame(*[np.array([v]) for v in EDGE_VALUES])],
+        "non-finite": _edge_frames(nonfinite, 5, rng),
+        "float32": _edge_frames([0.0078125, -0.0078125, 0.9921875, 5e-7, -4e-7,
+                                 9.9999995, -0.0], 6, rng, np.float32),
+        "int-and-bool": [_frame(*ints)],
+        "mixed-dtypes": [_frame(np.array([0.5, -0.25, 3.0]), np.array([1, -2, 3]),
+                                np.array([0.1, 0.2, 0.3], dtype=np.float32),
+                                np.array([0.5, -4e-7, 7.25], dtype=object))],
+        "empty-frames": [_frame(frame=1), _frame(np.array([0.25, -0.5]), frame=2),
+                         _frame(frame=3), _frame(frame=4),
+                         _frame(np.array([-0.0, 0.0078125]), frame=5), _frame(frame=6)],
+        "only-empty-frames": [_frame(frame=1), _frame(frame=2)],
+        "no-frames": [],
+        "random-block": [_frame(*rng.normal(0, 3, (500, 128)))],
+        "random-unit-block": [_frame(*(v / np.linalg.norm(v)
+                                       for v in rng.normal(size=(500, 128))))],
+    }
+
+
+WRITE_CASES = _write_cases()
+
+
+@pytest.mark.parametrize("name", list(WRITE_CASES))
+def test_write_embeddings_equals_the_component_writer_on_edge_cases(name):
+    frames = WRITE_CASES[name]
+    want = component_format_embeddings(frames)
+    assert write_embeddings(frames) == want  # and quietly: warnings are errors here
+    if name in ("only-empty-frames", "no-frames"):
+        assert want == ""
+
+
+@pytest.mark.parametrize("row", [np.array([0.5, 1 + 2j]), np.array(["0.5", "0.25"])],
+                         ids=["complex", "text"])
+def test_write_embeddings_leaves_rows_that_are_not_real_to_the_template(row):
+    # "%.6f" refuses these; the kernel must not read them as reals instead.
+    with pytest.raises(TypeError):
+        ",".join(["%.6f"] * 2) % tuple(row.tolist())
+    with pytest.raises(TypeError):
+        write_embeddings([_frame(np.array([0.25, -0.5]), row)])

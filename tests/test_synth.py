@@ -1,5 +1,13 @@
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from reidmot import (
     ConfigError,
@@ -13,8 +21,13 @@ from reidmot import (
     parse_embeddings,
     parse_gt,
 )
+from reidmot import cli, synth
 from reidmot.io import load_text
-from reidmot.synth import BASE_SCORE, BOX_SIZE
+from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS
+
+from oracles import loop_sample_bases
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_generation_is_deterministic():
@@ -187,3 +200,67 @@ def test_export_reimports_losslessly(tmp_path):
         for k, d in enumerate(fi.detections):
             sim = cosine_similarity(d.embedding, originals[(fi.frame, k)])
             assert sim > 1.0 - 1e-5
+
+
+def _sampled(sample, seed):
+    """sample(rng) as (bases bytes, None) or (None, error message), and the
+    state of rng after it."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    try:
+        outcome = sample(rng).tobytes(), None
+    except SeparationInfeasibleError as exc:
+        outcome = None, str(exc)
+    return outcome, rng.bit_generator.state
+
+
+def _check_sampler(seed, dim, count, separation, cap):
+    spec = ScenarioSpec(num_identities=count, num_frames=0, embedding_dim=dim,
+                        min_identity_separation=separation, seed=seed)
+    with mock.patch.object(synth, "MAX_SAMPLING_ATTEMPTS", cap):
+        got = _sampled(lambda rng: synth._sample_bases(rng, spec), seed)
+    want = _sampled(lambda rng: loop_sample_bases(rng, count, dim, separation, cap), seed)
+    assert got == want
+
+
+# Caps below MAX_SAMPLING_ATTEMPTS keep infeasible examples quick; the
+# @example runs one at the full cap.
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 32), count=st.integers(0, 60),
+       separation=st.one_of(st.sampled_from([0.0, 0.8, 1.0, 1.2]), st.floats(0.0, 1.2)),
+       cap=st.sampled_from([1, 50, 2000]))
+@example(seed=0, dim=2, count=5, separation=1.2, cap=MAX_SAMPLING_ATTEMPTS)
+def test_sample_bases_equals_the_pairwise_loop(seed, dim, count, separation, cap):
+    _check_sampler(seed, dim, count, separation, cap)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), count=st.integers(2, 8),
+       offset=st.sampled_from([-1e-3, -1e-13, -1e-16, 0.0, 1e-16, 1e-13, 1e-3]))
+def test_sample_bases_equals_the_pairwise_loop_at_the_bound(seed, dim, count, offset):
+    # The bound sits at, or just off, the similarity of the first two
+    # candidates, so the second one is judged right at it.
+    first, second = loop_sample_bases(np.random.Generator(np.random.PCG64(seed)),
+                                      2, dim, 0.0, 2)
+    separation = 1.0 - (float(np.dot(first, second)) + offset)
+    assume(0.0 <= separation <= 2.0)
+    _check_sampler(seed, dim, count, separation, 2000)
+
+
+def _bench_workloads():
+    """bench/run.py's WORKLOADS, read without running the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("seed", ["3", "11"])
+@pytest.mark.parametrize("workload", ["sparse_long", "dense_crowd"])
+def test_synth_writes_the_pinned_bench_inputs(workload, seed, tmp_path):
+    # The benchmark checks these sha256 pins too, but only in its own runs.
+    flags = _bench_workloads()[workload]["synth"]
+    assert cli.main(["synth", str(tmp_path), *flags, "--seed", seed]) == 0
+    pins = json.loads((BENCH / "pins.json").read_text())[workload][seed]
+    for name in ("det", "emb", "gt"):
+        digest = hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
+        assert digest == pins[name], f"{name}.txt"
