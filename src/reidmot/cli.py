@@ -8,6 +8,7 @@ scripted callers can tell what went wrong without scraping messages.
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 from . import io as seqio
 from . import synth as synthmod
@@ -78,18 +79,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> TrackerConfig:
-    return TrackerConfig(
-        high_thresh=args.high_thresh,
-        low_thresh=args.low_thresh,
-        sim_gate_high=args.sim_gate_high,
-        sim_gate_low=args.sim_gate_low,
-        tau=args.tau,
-        max_lost_age=args.max_lost_age,
-        min_init_score=args.min_init_score,
-        per_class=args.per_class,
-        embedding_dim=args.embedding_dim,
-        bytetrack_stage2=args.bytetrack_stage2,
-    )
+    # The config flags' dests are the TrackerConfig field names.
+    return TrackerConfig(**{f.name: getattr(args, f.name) for f in fields(TrackerConfig)})
 
 
 def _cmd_track(args) -> int:

@@ -12,7 +12,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, ZeroNormError
+from .errors import ConfigError, DimensionMismatchError, MissingEmbeddingError, ZeroNormError
 
 # Norms below this are treated as zero; normalizing such a vector is an error.
 ZERO_NORM_EPS = 1e-12
@@ -84,19 +84,47 @@ def iou(a: BBox, b: BBox) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
+def embedding_length(shape: tuple, dim: int | None = None, where: str = "") -> int:
+    """The length of an embedding of `shape`: the one home of the shape rule.
+
+    DimensionMismatchError, its message led by `where`, unless 1-D,
+    non-empty and `dim` long (when given).
+    """
+    if len(shape) != 1 or shape[0] == 0:
+        raise DimensionMismatchError(
+            f"{where}embedding must be 1-D and non-empty, got shape {shape}")
+    if dim is not None and shape[0] != dim:
+        raise DimensionMismatchError(f"{where}embedding has length {shape[0]}, expected {dim}")
+    return shape[0]
+
+
+def embedding_dim(frame: int, detections, dim: int | None) -> int | None:
+    """`dim`, or else the length of the first embedding in `detections` of `frame`.
+
+    Each detection needs an embedding (else MissingEmbeddingError) that
+    passes embedding_length, whose errors then start `frame F, index I: `.
+    An embedding already of shape (dim,) skips the rule.
+    """
+    shape = (dim,)
+    for index, det in enumerate(detections):
+        emb = det.embedding
+        if emb is None:
+            raise MissingEmbeddingError(frame, index)
+        if emb.shape != shape:
+            dim = embedding_length(emb.shape, dim, f"frame {frame}, index {index}: ")
+            shape = (dim,)
+    return dim
+
+
 def normalize_embedding(raw, dim: int | None = None) -> np.ndarray:
     """Return `raw` scaled to unit L2 norm as a float64 array.
 
-    Raises DimensionMismatchError if `raw` is not 1-D of length `dim` (when
-    given), ZeroNormError if its norm is below ZERO_NORM_EPS.
+    Raises DimensionMismatchError unless `raw` passes embedding_length,
+    ValueError if an entry is not finite, ZeroNormError if its norm is below
+    ZERO_NORM_EPS.
     """
     arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"embedding must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"embedding has length {arr.shape[0]}, expected {dim}"
-        )
+    embedding_length(arr.shape, dim)
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding entries must be finite")
     norm = float(np.linalg.norm(arr))
@@ -116,8 +144,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class Detection:
     """One detector output: box, confidence score, class, optional embedding.
 
-    The embedding, when present, is unit-norm (see normalize_embedding) and is
-    excluded from equality so parsed detections compare by their file fields.
+    The embedding, when present, should be unit-norm (see normalize_embedding):
+    nothing here checks it, and Tracker.step uses it as given. It is excluded
+    from equality so parsed detections compare by their file fields.
     """
 
     frame: int

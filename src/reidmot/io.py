@@ -41,6 +41,7 @@ from .core import (
     Detection,
     FrameInput,
     GtEntry,
+    embedding_dim,
     group_by_frame,
     iou_matrix,
     normalize_embedding,
@@ -353,31 +354,16 @@ def write_embeddings(frames) -> str:
     """Embedding lines (6-decimal components) for every detection that has one.
 
     Every row is formatted as one template would format it, so every
-    embedding must be 1-D and as long as the first one, which must not be
-    empty; anything else raises DimensionMismatchError rather than write a
-    file that parse_embeddings rejects.
+    detection must have an embedding that core.embedding_dim accepts (1-D,
+    non-empty, as long as the first one) rather than write a file that
+    parse_embeddings rejects.
     """
     keys, embs = [], []
-    shape = None
+    dim = None
     for fi in frames:
-        for index, det in enumerate(fi.detections):
-            emb = det.embedding
-            if emb is None:
-                raise MissingEmbeddingError(fi.frame, index)
-            if emb.shape != shape:
-                if emb.ndim != 1 or emb.shape[0] == 0:
-                    raise DimensionMismatchError(
-                        f"frame {fi.frame}, index {index}: embedding must be 1-D "
-                        f"and non-empty, got shape {emb.shape}"
-                    )
-                if shape is not None:
-                    raise DimensionMismatchError(
-                        f"frame {fi.frame}, index {index}: embedding has length "
-                        f"{emb.shape[0]}, expected {shape[0]}"
-                    )
-                shape = emb.shape
-            keys.append(f"{fi.frame},{index},")
-            embs.append(emb)
+        dim = embedding_dim(fi.frame, fi.detections, dim)
+        keys += [f"{fi.frame},{index}," for index in range(len(fi.detections))]
+        embs += [det.embedding for det in fi.detections]
     if not embs:
         return ""
     return "".join(key + row + "\n" for key, row in zip(keys, _format_rows(embs)))

@@ -129,6 +129,18 @@ def _sample_bases(rng, spec) -> np.ndarray:
     return bases
 
 
+def _advance(pos, vel, limit) -> tuple[np.ndarray, np.ndarray]:
+    """One frame of motion: `pos` moves by `vel` and reflects inside [0, `limit`].
+
+    Each pass mirrors every coordinate past a wall and flips its velocity.
+    """
+    pos = pos + vel
+    while (out := (pos < 0.0) | (pos > limit)).any():
+        pos = np.where(pos < 0.0, -pos, np.where(pos > limit, 2.0 * limit - pos, pos))
+        vel = np.where(out, -vel, vel)
+    return pos, vel
+
+
 def _dipped_score(spec, frame: int, identity: int) -> float:
     for start, end, dip_id, score in spec.score_dips:
         if dip_id == identity and start <= frame <= end:
@@ -155,6 +167,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
     width, height = spec.arena
     # Top-left corners stay inside [0, arena - box]; velocity reflects there.
     max_x, max_y = width - BOX_SIZE, height - BOX_SIZE
+    limit = np.array([max_x, max_y])
     pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
     vel = rng.uniform(-4.0, 4.0, size=(spec.num_identities, 2))
 
@@ -200,16 +213,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
                 ))
         frames.append(FrameInput(frame=frame, detections=tuple(dets)))
 
-        # Advance and reflect; velocity flips at whichever wall was crossed.
-        pos += vel
-        for i in range(spec.num_identities):
-            for axis, limit in ((0, max_x), (1, max_y)):
-                while pos[i, axis] < 0.0 or pos[i, axis] > limit:
-                    if pos[i, axis] < 0.0:
-                        pos[i, axis] = -pos[i, axis]
-                    else:
-                        pos[i, axis] = 2.0 * limit - pos[i, axis]
-                    vel[i, axis] = -vel[i, axis]
+        pos, vel = _advance(pos, vel, limit)
 
     return SequenceBundle(
         name=f"synth-{spec.seed}",

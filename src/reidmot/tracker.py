@@ -21,11 +21,11 @@ from .core import (
     FrameInput,
     TrackerConfig,
     TrackOutput,
+    embedding_dim,
     normalize_embedding,
 )
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
     EmptyHistoryError,
     MissingEmbeddingError,
     NonMonotonicFrameError,
@@ -233,12 +233,12 @@ class Tracker:
         track-id order.
 
         The embeddings are used as given, so they should be unit-norm (see
-        normalize_embedding). The whole frame is checked and its features
-        computed before any state changes: a frame that raises
-        NonMonotonicFrameError, MissingEmbeddingError,
-        DimensionMismatchError, ZeroNormError (a mean that cancels out) or
-        ZeroWeightError (a history whose scores sum to zero) leaves the
-        tracker as it was.
+        normalize_embedding); core.embedding_dim checks their shapes. The
+        whole frame is checked and its features computed before any state
+        changes: a frame that raises NonMonotonicFrameError,
+        MissingEmbeddingError, DimensionMismatchError, ZeroNormError (a mean
+        that cancels out) or ZeroWeightError (a history whose scores sum to
+        zero) leaves the tracker as it was.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -246,21 +246,7 @@ class Tracker:
             raise NonMonotonicFrameError(
                 f"frame {frame} after frame {self._last_frame}"
             )
-        dim = self._dim
-        for j, det in enumerate(frame_input.detections):
-            if det.embedding is None:
-                raise MissingEmbeddingError(frame, j)
-            shape = det.embedding.shape
-            if len(shape) != 1:
-                raise DimensionMismatchError(
-                    f"frame {frame}: embedding must be 1-D, got shape {shape}"
-                )
-            if dim is None:
-                dim = shape[0]
-            if shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"frame {frame}: embedding length {shape[0]}, expected {dim}"
-                )
+        dim = embedding_dim(frame, frame_input.detections, self._dim)
 
         high, low, _ = split_by_score(frame_input.detections, cfg)
         live = self.live_tracks

@@ -9,7 +9,9 @@ the embedding writer formats one component at a time, as the package did
 before it formatted each row with one template, and the identity-base
 sampler checks a candidate against one placed base at a time with np.dot,
 as the package did before it checked all of them with one product (it
-raises the package's error class, whose message the tests compare).
+raises the package's error class, whose message the tests compare), and
+the wall reflection of synthetic motion goes one identity and one axis at
+a time, as the package did before it reflected every coordinate at once.
 If the fast paths drift, these catch it.
 """
 
@@ -324,3 +326,18 @@ def loop_sample_bases(rng, num_identities, dim, separation, max_attempts):
         if all(float(np.dot(cand, b)) <= max_sim for b in bases):
             bases.append(cand)
     return np.array(bases).reshape(len(bases), dim)
+
+
+def loop_reflect(pos, vel, max_x, max_y):
+    """One frame of synthetic motion: (pos + vel, vel) reflected off the walls
+    0 and max_x / max_y with one Python while loop per identity and axis."""
+    pos, vel = pos + vel, vel.copy()
+    for i in range(len(pos)):
+        for axis, limit in ((0, max_x), (1, max_y)):
+            while pos[i, axis] < 0.0 or pos[i, axis] > limit:
+                if pos[i, axis] < 0.0:
+                    pos[i, axis] = -pos[i, axis]
+                else:
+                    pos[i, axis] = 2.0 * limit - pos[i, axis]
+                vel[i, axis] = -vel[i, axis]
+    return pos, vel

@@ -1,11 +1,13 @@
 """End-to-end command tests, run in process through main(argv)."""
 
 import pathlib
+from dataclasses import fields
 
 import pytest
 
 import reidmot.io as seqio
-from reidmot.cli import main
+from reidmot import TrackerConfig
+from reidmot.cli import _config_from_args, build_parser, main
 from reidmot.io import load_text, parse_detections, parse_gt
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -329,3 +331,25 @@ def test_embedding_file_errors_name_their_line(tmp_path, capsys, embeddings, cod
     rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt")])
     assert rc == code
     assert capsys.readouterr().err == message
+
+
+def _track_config(*flags):
+    return _config_from_args(build_parser().parse_args(["track", "d", "e", "o", *flags]))
+
+
+def test_default_track_flags_give_the_default_config():
+    assert _track_config() == TrackerConfig()
+
+
+def test_every_track_flag_reaches_its_config_field():
+    config = _track_config(
+        "--high-thresh", "0.9", "--low-thresh", "0.2", "--sim-gate-high", "0.7",
+        "--sim-gate-low", "0.4", "--tau", "5", "--max-lost-age", "7",
+        "--min-init-score", "0.95", "--no-per-class", "--embedding-dim", "8",
+        "--bytetrack-stage2")
+    assert config == TrackerConfig(high_thresh=0.9, low_thresh=0.2, sim_gate_high=0.7,
+                                   sim_gate_low=0.4, tau=5, max_lost_age=7,
+                                   min_init_score=0.95, per_class=False, embedding_dim=8,
+                                   bytetrack_stage2=True)
+    assert all(getattr(config, f.name) != getattr(TrackerConfig(), f.name)
+               for f in fields(TrackerConfig))

@@ -162,6 +162,10 @@ def test_normalize_embedding_errors():
         normalize_embedding(np.full(4, 1e-13))
     with pytest.raises(DimensionMismatchError):
         normalize_embedding(np.ones((2, 2)))
+    # an empty vector is a shape error, not a zero norm
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^embedding must be 1-D and non-empty, got shape \(0,\)$"):
+        normalize_embedding(np.array([]))
     with pytest.raises(DimensionMismatchError):
         normalize_embedding(np.ones(3), dim=4)
     with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from reidmot import (
 import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
 
+from bad_frames import BAD_FRAMES, embedded_frame, writer_input
 from oracles import component_format_embeddings, greedy_nms
 
 
@@ -131,20 +132,9 @@ def test_embedding_dimension_and_zero_norm_errors_name_their_line():
         parse_embeddings("1,0,1,0\n", expected_dim=3)
 
 
-def _frame(*embeddings, frame=1):
-    return FrameInput(frame=frame, detections=tuple(
-        Detection(frame=frame, bbox=BBox(0, 0, 10, 10), score=0.9, embedding=e)
-        for e in embeddings))
-
-
 @pytest.mark.parametrize("frames, message", [
-    ([_frame(np.array([1.0, 0.0])), _frame(np.array([1.0, 0.0, 0.0]), frame=2)],
-     r"^frame 2, index 0: embedding has length 3, expected 2$"),
-    ([_frame(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]))],
-     r"^frame 1, index 1: embedding must be 1-D and non-empty, got shape \(1, 2\)$"),
-    ([_frame(np.array([[1.0], [0.0]]))], r"^frame 1, index 0: .* got shape \(2, 1\)$"),
-    ([_frame(np.array(1.0))], r"^frame 1, index 0: .* got shape \(\)$"),
-    ([_frame(np.array([]))], r"^frame 1, index 0: .* got shape \(0,\)$"),
+    (writer_input(case.dim, case.frame), case.message)
+    for case in BAD_FRAMES if case.error is DimensionMismatchError
 ])
 def test_write_embeddings_rejects_what_the_parser_would(frames, message):
     with pytest.raises(DimensionMismatchError, match=message):
@@ -153,7 +143,7 @@ def test_write_embeddings_rejects_what_the_parser_would(frames, message):
 
 def test_write_embeddings_still_names_a_missing_embedding():
     with pytest.raises(MissingEmbeddingError):
-        write_embeddings([_frame(np.array([1.0, 0.0]), None)])
+        write_embeddings([embedded_frame(np.array([1.0, 0.0]), None)])
 
 
 def test_clean_embedding_file_takes_the_columnar_path(monkeypatch):
@@ -658,7 +648,7 @@ def embedded_frames(draw):
     dim = draw(st.integers(1, 8))
     vectors = st.lists(WRITTEN_VALUES, min_size=dim, max_size=dim).map(np.array)
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-    return [_frame(*[draw(vectors) for _ in range(n)], frame=f)
+    return [embedded_frame(*[draw(vectors) for _ in range(n)], frame=f)
             for f, n in enumerate(sizes, start=1)]
 
 
@@ -692,7 +682,8 @@ def _edge_frames(values, dim, rng, dtype=np.float64):
         row = rng.uniform(-1, 1, dim)
         row[rng.integers(dim)] = value
         rows.append(row.astype(dtype))
-    return [_frame(*rows[i:i + 3], frame=f) for f, i in enumerate(range(0, len(rows), 3), start=1)]
+    return [embedded_frame(*rows[i:i + 3], frame=f)
+            for f, i in enumerate(range(0, len(rows), 3), start=1)]
 
 
 def _write_cases():
@@ -702,21 +693,22 @@ def _write_cases():
             np.array([True, False, True, False, True])]
     return {
         "edge-values": _edge_frames(EDGE_VALUES, 4, rng),
-        "edge-values-one-column": [_frame(*[np.array([v]) for v in EDGE_VALUES])],
+        "edge-values-one-column": [embedded_frame(*[np.array([v]) for v in EDGE_VALUES])],
         "non-finite": _edge_frames(nonfinite, 5, rng),
         "float32": _edge_frames([0.0078125, -0.0078125, 0.9921875, 5e-7, -4e-7,
                                  9.9999995, -0.0], 6, rng, np.float32),
-        "int-and-bool": [_frame(*ints)],
-        "mixed-dtypes": [_frame(np.array([0.5, -0.25, 3.0]), np.array([1, -2, 3]),
+        "int-and-bool": [embedded_frame(*ints)],
+        "mixed-dtypes": [embedded_frame(np.array([0.5, -0.25, 3.0]), np.array([1, -2, 3]),
                                 np.array([0.1, 0.2, 0.3], dtype=np.float32),
                                 np.array([0.5, -4e-7, 7.25], dtype=object))],
-        "empty-frames": [_frame(frame=1), _frame(np.array([0.25, -0.5]), frame=2),
-                         _frame(frame=3), _frame(frame=4),
-                         _frame(np.array([-0.0, 0.0078125]), frame=5), _frame(frame=6)],
-        "only-empty-frames": [_frame(frame=1), _frame(frame=2)],
+        "empty-frames": [embedded_frame(frame=1), embedded_frame(np.array([0.25, -0.5]), frame=2),
+                         embedded_frame(frame=3), embedded_frame(frame=4),
+                         embedded_frame(np.array([-0.0, 0.0078125]), frame=5),
+                         embedded_frame(frame=6)],
+        "only-empty-frames": [embedded_frame(frame=1), embedded_frame(frame=2)],
         "no-frames": [],
-        "random-block": [_frame(*rng.normal(0, 3, (500, 128)))],
-        "random-unit-block": [_frame(*(v / np.linalg.norm(v)
+        "random-block": [embedded_frame(*rng.normal(0, 3, (500, 128)))],
+        "random-unit-block": [embedded_frame(*(v / np.linalg.norm(v)
                                        for v in rng.normal(size=(500, 128))))],
     }
 
@@ -740,4 +732,4 @@ def test_write_embeddings_leaves_rows_that_are_not_real_to_the_template(row):
     with pytest.raises(TypeError):
         ",".join(["%.6f"] * 2) % tuple(row.tolist())
     with pytest.raises(TypeError):
-        write_embeddings([_frame(np.array([0.25, -0.5]), row)])
+        write_embeddings([embedded_frame(np.array([0.25, -0.5]), row)])

@@ -25,7 +25,7 @@ from reidmot import cli, synth
 from reidmot.io import load_text
 from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS
 
-from oracles import loop_sample_bases
+from oracles import loop_reflect, loop_sample_bases
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -246,21 +246,49 @@ def test_sample_bases_equals_the_pairwise_loop_at_the_bound(seed, dim, count, of
     _check_sampler(seed, dim, count, separation, 2000)
 
 
-def _bench_workloads():
-    """bench/run.py's WORKLOADS, read without running the benchmark."""
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6),
+       width=st.floats(BOX_SIZE + 0.25, 1280.0), height=st.floats(BOX_SIZE + 0.25, 1280.0),
+       steps=st.integers(1, 40))
+# Arenas a hair wider than a box: a step of up to 4 px bounces many times.
+@example(seed=0, count=6, width=BOX_SIZE + 0.25, height=BOX_SIZE + 0.3, steps=40)
+def test_reflection_equals_the_per_identity_loop(seed, count, width, height, steps):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    max_x, max_y = width - BOX_SIZE, height - BOX_SIZE
+    pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(count, 2))
+    vel = rng.uniform(-4.0, 4.0, size=(count, 2))
+    want = pos, vel
+    for _ in range(steps):
+        pos, vel = synth._advance(pos, vel, np.array([max_x, max_y]))
+        want = loop_reflect(*want, max_x, max_y)
+        assert (pos.tobytes(), vel.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+
+def _bench_run():
+    """bench/run.py as a module (its WORKLOADS and parse_scores), without running it."""
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 @pytest.mark.parametrize("seed", ["3", "11"])
 @pytest.mark.parametrize("workload", ["sparse_long", "dense_crowd"])
-def test_synth_writes_the_pinned_bench_inputs(workload, seed, tmp_path):
-    # The benchmark checks these sha256 pins too, but only in its own runs.
-    flags = _bench_workloads()[workload]["synth"]
-    assert cli.main(["synth", str(tmp_path), *flags, "--seed", seed]) == 0
+def test_synth_writes_the_pinned_bench_inputs(workload, seed, tmp_path, capsys):
+    # The benchmark checks these pins too, but only in its own runs.
+    bench = _bench_run()
+    flags = bench.WORKLOADS[workload]
     pins = json.loads((BENCH / "pins.json").read_text())[workload][seed]
+    assert cli.main(["synth", str(tmp_path), *flags["synth"], "--seed", seed]) == 0
+    path = {name: tmp_path / f"{name}.txt" for name in ("det", "emb", "gt", "res")}
     for name in ("det", "emb", "gt"):
-        digest = hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
-        assert digest == pins[name], f"{name}.txt"
+        assert hashlib.sha256(path[name].read_bytes()).hexdigest() == pins[name], name
+    # Tracking and scoring them, as the benchmark does, gives the pinned
+    # results bytes and scores.
+    track = ["track", str(path["det"]), str(path["emb"]), str(path["res"]), *flags["track"]]
+    assert cli.main(track) == 0
+    assert hashlib.sha256(path["res"].read_bytes()).hexdigest() == pins["results"]
+    capsys.readouterr()
+    assert cli.main(["eval", str(path["gt"]), str(path["res"]), "--csv"]) == 0
+    scores = bench.parse_scores(capsys.readouterr().out)
+    assert scores == {k: pins[k] for k in ("mota", "idf1", "idsw", "fp", "fn")}

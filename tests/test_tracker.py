@@ -25,8 +25,10 @@ from reidmot import (
     weighted_feature,
 )
 
+from reidmot.io import write_embeddings
 from reidmot.tracker import FEATURE_BATCH, _weighted_means
 
+from bad_frames import BAD_FRAMES, writer_input
 from oracles import direct_weighted_feature, reference_tracker
 
 BOX = BBox(0, 0, 10, 10)
@@ -269,22 +271,20 @@ def test_missing_embedding_rejected():
 
 
 @pytest.mark.parametrize("cfg, bad_frame, error", [
-    (TrackerConfig(), (Detection(1, BOX, 0.9),), MissingEmbeddingError),
-    (TrackerConfig(embedding_dim=3), (det(1, 0.9, [1.0, 0.0]),), DimensionMismatchError),
-    # a frame whose own embeddings disagree fixes no length
-    (TrackerConfig(), (det(1, 0.9, [1.0, 0.0, 0.0]), det(1, 0.9, [1.0, 0.0])),
-     DimensionMismatchError),
-    # embeddings that are not 1-D fix no length either
-    (TrackerConfig(), (det(1, 0.9, [[1.0], [0.0], [0.0]]),), DimensionMismatchError),
-    (TrackerConfig(), (det(1, 0.9, 1.0),), DimensionMismatchError),
+    (TrackerConfig(embedding_dim=case.dim), case.frame, case.error) for case in BAD_FRAMES
 ])
 def test_rejected_frame_leaves_tracker_unchanged(cfg, bad_frame, error):
+    # The tracker and the writer refuse the frame by one rule, in one message.
+    with pytest.raises(error) as written:
+        write_embeddings(writer_input(cfg.embedding_dim, bad_frame))
     tracker = Tracker(cfg)
-    with pytest.raises(error):
-        tracker.step(FrameInput(frame=1, detections=bad_frame))
-    good = det(1, 0.9, [1.0, 0.0, 0.0] if cfg.embedding_dim == 3 else [1.0, 0.0])
-    out = tracker.step(FrameInput(frame=1, detections=(good,)))
-    assert [(o.frame, o.track_id) for o in out] == [(1, 1)]
+    with pytest.raises(error) as stepped:
+        tracker.step(bad_frame)
+    assert str(stepped.value) == str(written.value)
+    assert (tracker._dim, tracker._last_frame, tracker.tracks) == (cfg.embedding_dim, None, [])
+    good = det(bad_frame.frame, 0.9, np.eye(cfg.embedding_dim or 2)[0])
+    out = tracker.step(FrameInput(frame=bad_frame.frame, detections=(good,)))
+    assert [(o.frame, o.track_id) for o in out] == [(bad_frame.frame, 1)]
 
 
 def test_embedding_length_is_fixed_by_the_first_accepted_embedding():
