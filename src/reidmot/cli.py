@@ -85,10 +85,12 @@ def _config_from_args(args) -> TrackerConfig:
 
 def _cmd_track(args) -> int:
     config = _config_from_args(args)
-    dets = seqio.parse_detections(seqio.load_text(args.detections))
-    embs = seqio.parse_embeddings(seqio.load_text(args.embeddings),
-                                  expected_dim=args.embedding_dim)
-    frames = seqio.attach_embeddings(dets, embs)
+    # One expression, so that the unjoined detections and the embedding dict
+    # are freed before tracking starts.
+    frames = seqio.attach_embeddings(
+        seqio.parse_detections(seqio.load_text(args.detections)),
+        seqio.parse_embeddings(seqio.load_text(args.embeddings),
+                               expected_dim=args.embedding_dim))
     if args.nms_thresh is not None:
         kept = seqio.nms_frames([fi.detections for fi in frames], args.nms_thresh)
         frames = [FrameInput(fi.frame, tuple(k)) for fi, k in zip(frames, kept)]

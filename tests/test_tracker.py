@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,33 +402,43 @@ def test_batched_features_equal_single_history_features_bit_for_bit():
     # Identities are born over the first seven frames and drop out at random,
     # so one frame mixes histories shorter than tau with full ones; once all
     # are full, a frame matches more same-length tracks than one batch holds.
-    rng = np.random.default_rng(12)
-    cfg = TrackerConfig(tau=5, per_class=False)
+    # The longer runs at tau 1 and 3 wrap those tracks' rings ten times over.
     n_ids = FEATURE_BATCH + 16
-    base = rng.normal(size=(n_ids, 128))
-    tracker = Tracker(cfg)
-    mixed_frames = 0
-    widest_group = 0
-    for f in range(1, 16):
-        dets = []
-        for k in range(n_ids):
-            born = f == k % 7 + 1
-            if f < k % 7 + 1 or (not born and rng.uniform() < 0.05):
-                continue
-            score = 0.95 if born else float(rng.uniform(0.3, 1.0))
-            e = base[k] + rng.normal(scale=0.05, size=128)
-            dets.append(det(f, score, e / np.linalg.norm(e)))
-        out = tracker.step(FrameInput(frame=f, detections=tuple(dets)))
-        lengths = [len(t.history) for t in tracker.tracks if t.last_frame == f]
-        mixed_frames += len(set(lengths)) > 1 and cfg.tau in lengths
-        widest_group = max(widest_group, lengths.count(cfg.tau))
-        assert len(out) == len(lengths)
-        for track in tracker.live_tracks:
-            want = weighted_feature(list(track.history), cfg.tau)
-            assert np.array_equal(track.feature, want)
-            assert np.array_equal(track.feature, one_history_numpy_feature(track.history))
-    assert mixed_frames > 0
-    assert widest_group > FEATURE_BATCH
+    for tau, n_frames, seed in ((5, 15, 12), (1, 30, 13), (3, 60, 14)):
+        rng = np.random.default_rng(seed)
+        cfg = TrackerConfig(tau=tau, per_class=False)
+        base = rng.normal(size=(n_ids, 128))
+        tracker = Tracker(cfg)
+        mixed_frames = 0
+        widest_group = 0
+        matches = {}
+        for f in range(1, n_frames + 1):
+            dets = []
+            for k in range(n_ids):
+                born = f == k % 7 + 1
+                if f < k % 7 + 1 or (not born and rng.uniform() < 0.05):
+                    continue
+                score = 0.95 if born else float(rng.uniform(0.3, 1.0))
+                e = base[k] + rng.normal(scale=0.05, size=128)
+                dets.append(det(f, score, e / np.linalg.norm(e)))
+            out = tracker.step(FrameInput(frame=f, detections=tuple(dets)))
+            lengths = [len(t.history) for t in tracker.tracks if t.last_frame == f]
+            mixed_frames += len(set(lengths)) > 1 and cfg.tau in lengths
+            widest_group = max(widest_group, lengths.count(cfg.tau))
+            assert len(out) == len(lengths)
+            for o in out:
+                matches[o.track_id] = matches.get(o.track_id, 0) + 1
+            for track in tracker.live_tracks:
+                want = weighted_feature(list(track.history), cfg.tau)
+                assert np.array_equal(track.feature, want)
+                assert np.array_equal(track.feature, one_history_numpy_feature(track.history))
+        assert mixed_frames > 0 or tau == 1
+        assert widest_group > FEATURE_BATCH
+        if tau < 5:
+            # Observation k sits at ring position k % (tau + 1), so more
+            # than 10 (tau + 1) observations wrap a ring ten times.
+            wrapped = [n for n in matches.values() if n > 10 * (tau + 1)]
+            assert len(wrapped) > FEATURE_BATCH
 
 
 def test_step_raises_zero_norm_for_a_mean_that_cancels():
@@ -468,6 +480,29 @@ def test_zero_norm_refresh_leaves_the_tracker_as_it_was():
     assert [(o.frame, o.track_id) for o in out] == [(2, 1)]
     assert len(tracker.tracks[0].history) == 2
 
+    # The same past a wrapped ring, where the staged observation overwrites
+    # a row that left the window: for a mean that cancels and for a window
+    # whose scores sum to zero. No row of the store is leaked either.
+    cfg = TrackerConfig(tau=2, high_thresh=0.5, low_thresh=0.0, sim_gate_high=-1.0,
+                        sim_gate_low=-1.0, per_class=False)
+    for lead_in, (emb, score), error in (
+        ([0.9] * 5, (-e, 0.9), ZeroNormError),
+        ([0.9] * 5 + [0.0], (e, 0.0), ZeroWeightError),
+    ):
+        tracker = Tracker(cfg)
+        for f, lead_score in enumerate(lead_in, start=1):
+            tracker.step(FrameInput(frame=f, detections=(det(f, lead_score, e),)))
+        before = _tracker_state(tracker)
+        assert tracker._store.held_rows == cfg.tau + 1
+        frame = len(lead_in) + 1
+        with pytest.raises(error):
+            tracker.step(FrameInput(frame=frame, detections=(det(frame, score, emb),)))
+        assert _tracker_state(tracker) == before
+        assert tracker._store.held_rows == cfg.tau + 1
+        out = tracker.step(FrameInput(frame=frame, detections=(det(frame, 0.9, unit(0, 1, 0)),)))
+        assert [(o.frame, o.track_id) for o in out] == [(frame, 1)]
+        assert [s for _, s in tracker.tracks[0].history] == [lead_in[-1], 0.9]
+
 
 def test_zero_weight_founding_leaves_the_tracker_as_it_was():
     tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0, min_init_score=0.0))
@@ -478,6 +513,59 @@ def test_zero_weight_founding_leaves_the_tracker_as_it_was():
     # Neither the frame nor the length 2 was taken: frame 1 of length 3 steps.
     out = tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(1, 0, 0)),)))
     assert [(o.frame, o.track_id) for o in out] == [(1, 1)]
+
+
+def test_store_holds_the_rows_of_live_tracks_only():
+    # Churn: three identities persist while every frame founds tracks on
+    # fresh random appearances that never match again and are removed two
+    # frames later. The store gives their rows back, so what it holds, and
+    # the rows it ever handed out, follow the live tracks, not every track
+    # ever founded.
+    rng = np.random.default_rng(21)
+    cfg = TrackerConfig(tau=3, max_lost_age=2, per_class=False)
+    base = rng.normal(size=(3, 16))
+    tracker = Tracker(cfg)
+    most_live = 0
+    for f in range(1, 201):
+        vectors = np.concatenate([base + rng.normal(scale=0.05, size=base.shape),
+                                  rng.normal(size=(4, 16))])
+        tracker.step(FrameInput(frame=f, detections=tuple(
+            det(f, 0.9, v / np.linalg.norm(v)) for v in vectors)))
+        most_live = max(most_live, len(tracker.live_tracks))
+        assert tracker._store.held_rows <= len(tracker.live_tracks) * (cfg.tau + 1)
+    assert tracker._store._top <= most_live * (cfg.tau + 1)
+    assert len(tracker.tracks) > 10 * most_live
+    removed = [t for t in tracker.tracks if t.state is TrackState.REMOVED]
+    assert len(removed) == len(tracker.tracks) - len(tracker.live_tracks)
+    assert all(t.history == [] and t.feature is None for t in removed)
+
+
+def test_store_grows_by_copying_where_a_map_cannot_be_resized(monkeypatch):
+    # Without mremap, as on macOS, mmap.resize raises SystemError; the store
+    # then copies its rows into a larger map, with the same results.
+    class Unresizable(mmap.mmap):
+        def resize(self, newsize):
+            raise SystemError("mmap: resizing not available--no mremap()")
+
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(12, 8))
+    frames = [FrameInput(frame=f, detections=tuple(
+        det(f, float(rng.uniform(0.3, 1.0)), v / np.linalg.norm(v))
+        for v in base[:f] + rng.normal(scale=0.05, size=base[:f].shape)))
+        for f in range(1, 31)]
+    cfg = TrackerConfig(tau=4, per_class=False)
+
+    def run():
+        tracker = Tracker(cfg)
+        outputs = [tracker.step(frame_input) for frame_input in frames]
+        return outputs, _tracker_state(tracker), tracker
+
+    want_outputs, want_state, _ = run()
+    monkeypatch.setattr(mmap, "mmap", Unresizable)
+    outputs, state, tracker = run()
+    assert isinstance(tracker._store._map, Unresizable)
+    assert len(tracker._store._pool) >= 12 * (cfg.tau + 1)  # it grew from one row
+    assert (outputs, state) == (want_outputs, want_state)
 
 
 # Scores on and either side of both band edges (low 0.4, high 0.8) and of the
@@ -537,12 +625,18 @@ def test_step_matches_reference_tracker(scenario):
         out = tracker.step(frame_input)
         assert [(o.frame, o.track_id, o.bbox, o.score, o.class_id) for o in out] == want_out
         assert len(tracker.tracks) == len(want_tracks)
+        assert tracker.live_tracks == [t for t in tracker.tracks
+                                       if t.state is not TrackState.REMOVED]
         for track, want in zip(tracker.tracks, want_tracks):
             assert (track.track_id, track.class_id, track.state.value,
-                    track.frames_since_match, [s for _, s in track.history],
-                    track.last_bbox) == (
+                    track.frames_since_match, track.last_bbox) == (
                 want["track_id"], want["class_id"], want["state"],
-                want["frames_since_match"], want["scores"], want["last_bbox"])
+                want["frames_since_match"], want["last_bbox"])
+            if track.state is TrackState.REMOVED:
+                # A removed track has given its history and feature back.
+                assert (track.history, track.feature) == ([], None)
+                continue
+            assert [s for _, s in track.history] == want["scores"]
             assert np.max(np.abs(track.feature - np.array(want["feature"]))) <= 1e-9
         if len(tracker.live_tracks) > 5:
             break
