@@ -67,8 +67,10 @@ def iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         iy = np.minimum((ay + ah)[:, None], by + bh) - np.maximum(ay[:, None], by)
         inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
         union = (aw * ah)[:, None] + bw * bh - inter
+        # A union that rounds to 0 under a positive intersection (a far-off
+        # box whose x + w rounds up) reads 0.0, like no overlap.
         out = np.zeros(inter.shape)
-        np.divide(inter, union, out=out, where=inter > 0)
+        np.divide(inter, union, out=out, where=(inter > 0) & (union != 0))
         # (x + w) - x can exceed w in floats, pushing identical boxes past
         # 1.0; fmin, unlike minimum, also clamps an overflow's nan to 1.0.
         return np.fmin(1.0, out, out=out)

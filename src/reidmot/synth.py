@@ -19,6 +19,10 @@ from .errors import ConfigError, SeparationInfeasibleError
 from .io import SequenceBundle, save_text, write_detections, write_embeddings, write_gt
 
 BOX_SIZE = 40.0
+# The largest speed along each axis, in px per frame. An arena side at least
+# BOX_SIZE + MAX_SPEED leaves a box room to move that far, so one mirror off
+# a wall always lands inside.
+MAX_SPEED = 4.0
 BASE_SCORE = 0.95
 MAX_SAMPLING_ATTEMPTS = 100_000
 # Far above the rounding gap between two sums of the d products of two unit
@@ -73,8 +77,11 @@ class ScenarioSpec:
             raise ConfigError("clutter_rate must be >= 0")
         if not (0.0 <= self.low_thresh < self.high_thresh <= 1.0):
             raise ConfigError("need 0 <= low_thresh < high_thresh <= 1")
-        if self.arena[0] <= BOX_SIZE or self.arena[1] <= BOX_SIZE:
-            raise ConfigError(f"arena must exceed the {BOX_SIZE}px box size")
+        if min(self.arena) < BOX_SIZE + MAX_SPEED:
+            raise ConfigError(
+                f"arena sides must be at least {BOX_SIZE + MAX_SPEED}px: the "
+                f"{BOX_SIZE}px box plus the {MAX_SPEED}px top speed"
+            )
         for dip in self.score_dips:
             start, end, identity, score = dip
             if start > end:
@@ -132,13 +139,14 @@ def _sample_bases(rng, spec) -> np.ndarray:
 def _advance(pos, vel, limit) -> tuple[np.ndarray, np.ndarray]:
     """One frame of motion: `pos` moves by `vel` and reflects inside [0, `limit`].
 
-    Each pass mirrors every coordinate past a wall and flips its velocity.
+    Every coordinate past a wall is mirrored back and its velocity flipped.
+    With |vel| <= MAX_SPEED <= limit, as ScenarioSpec ensures, one mirror
+    lands inside.
     """
     pos = pos + vel
-    while (out := (pos < 0.0) | (pos > limit)).any():
-        pos = np.where(pos < 0.0, -pos, np.where(pos > limit, 2.0 * limit - pos, pos))
-        vel = np.where(out, -vel, vel)
-    return pos, vel
+    out = (pos < 0.0) | (pos > limit)
+    pos = np.where(pos < 0.0, -pos, np.where(pos > limit, 2.0 * limit - pos, pos))
+    return pos, np.where(out, -vel, vel)
 
 
 def _dipped_score(spec, frame: int, identity: int) -> float:
@@ -169,7 +177,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
     max_x, max_y = width - BOX_SIZE, height - BOX_SIZE
     limit = np.array([max_x, max_y])
     pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
-    vel = rng.uniform(-4.0, 4.0, size=(spec.num_identities, 2))
+    vel = rng.uniform(-MAX_SPEED, MAX_SPEED, size=(spec.num_identities, 2))
 
     frames = []
     gt = []

@@ -115,95 +115,65 @@ def _unit_means(embs: np.ndarray, scores: np.ndarray) -> np.ndarray:
 class _HistoryStore:
     """The recent observations of many tracks, in a few arrays.
 
-    Each track owns a slot: a ring of tau + 1 row numbers into one (P, d)
-    pool of embeddings, a ring of the matching scores, and the count of
-    observations the slot has taken. Observation k sits at ring position
-    k % (tau + 1), so the window of the last min(count, tau) observations
-    leaves one spare position, count % (tau + 1): stage writes a new
-    observation there without changing the window, and advance makes it
-    part of the window. A ring position holds -1 until its slot first
-    writes there: a slot takes a fresh row for each of its first tau + 1
-    observations and from then on overwrites the row that left its window.
-    Rows are handed out in the order they are first needed; a released slot
-    gives its rows back, and later slots take those before the pool grows,
-    so the store holds at most tau + 1 rows per open slot. No view of the
-    pool leaves the store: history and features return copies, which lets
-    the pool be resized in place.
+    Each track owns a slot: a block of tau + 1 positions in one
+    (S, tau + 1, d) pool of embeddings, the matching tau + 1 scores, and
+    the count of observations the slot has taken. Observation k sits at
+    position k % (tau + 1) of its slot, so the window of the last
+    min(count, tau) observations leaves one spare position, count % (tau + 1):
+    stage writes a new observation there without changing the window, and
+    advance makes it part of the window. A released slot is reused before
+    a new one is taken, so the store writes to no more slots than were ever
+    open at once. No view of the pool leaves the store: history and
+    features return copies, which lets the pool be resized in place.
     """
 
     def __init__(self, tau: int):
         self.tau = tau
         self._pool: np.ndarray | None = None  # a view of _map; see _grow
         self._map: mmap.mmap | None = None
-        self._top = 0  # rows handed out so far; the pool past them is untouched
-        self._free_rows: list[int] = []
-        self._ring = np.empty((0, tau + 1), dtype=np.intp)
         self._scores = np.empty((0, tau + 1), dtype=np.float64)
-        self._count = np.empty(0, dtype=np.intp)
+        self._count = np.empty(0, dtype=np.intp)  # 0 for a free slot
         self._free_slots: list[int] = []
 
-    @property
-    def held_rows(self) -> int:
-        """Pool rows that open slots hold."""
-        return self._top - len(self._free_rows)
-
     def open(self, k: int) -> np.ndarray:
-        """k empty slots, released ones first."""
+        """k empty slots: released ones first, then the lowest new ones."""
         while len(self._free_slots) < k:
             n = len(self._count)
             more = max(n, 8)
-            self._ring = np.concatenate([self._ring, np.empty((more, self.tau + 1), np.intp)])
             self._scores = np.concatenate([self._scores, np.empty((more, self.tau + 1))])
             self._count = np.concatenate([self._count, np.zeros(more, np.intp)])
-            self._free_slots.extend(range(n + more - 1, n - 1, -1))
-        slots = np.array([self._free_slots.pop() for _ in range(k)], dtype=np.intp)
-        self._ring[slots] = -1  # no row yet
-        self._count[slots] = 0
-        return slots
+            self._free_slots[:0] = range(n + more - 1, n - 1, -1)
+        return np.array([self._free_slots.pop() for _ in range(k)], dtype=np.intp)
 
     def stage(self, slots: np.ndarray, embeddings, scores):
         """Write one observation per slot into its spare position."""
         if not len(slots):
             return
+        if self._pool is None or len(self._pool) < len(self._count):
+            self._grow(len(self._count), len(embeddings[0]))
         pos = self._count[slots] % (self.tau + 1)
-        rows = self._ring[slots, pos]
-        fresh = np.flatnonzero(rows < 0)
-        if fresh.size:
-            rows[fresh] = self._take_rows(fresh.size, len(embeddings[0]))
-            self._ring[slots[fresh], pos[fresh]] = rows[fresh]
-        self._pool[rows] = embeddings
+        self._pool[slots, pos] = embeddings
         self._scores[slots, pos] = scores
-
-    def unstage(self, slots: np.ndarray):
-        """Undo stage: give back the rows it took; the windows never changed.
-
-        A store left holding no rows forgets its pool, so that the embedding
-        length of a frame that failed is not kept.
-        """
-        count = self._count[slots]
-        pos = count % (self.tau + 1)
-        rows = self._ring[slots, pos]
-        taken = np.flatnonzero((count <= self.tau) & (rows >= 0))
-        self._free_rows.extend(rows[taken].tolist())
-        self._ring[slots[taken], pos[taken]] = -1
-        if self.held_rows == 0:
-            self._pool, self._map, self._top, self._free_rows = None, None, 0, []
 
     def advance(self, slots: np.ndarray):
         """Make each slot's staged observation the newest of its window."""
         self._count[slots] += 1
 
     def release(self, slots: np.ndarray):
-        """Close the slots and give their rows back."""
-        for slot in slots.tolist():
-            ring = self._ring[slot]
-            self._free_rows.extend(ring[ring >= 0].tolist())
-            self._free_slots.append(slot)
+        """Close the slots.
+
+        A store left holding no observation forgets its pool, so that the
+        embedding length of a first frame that failed is not kept.
+        """
+        self._count[slots] = 0
+        self._free_slots.extend(slots.tolist())
+        if not self._count.any():
+            self._pool, self._map = None, None
 
     def history(self, slot: int) -> list:
         """The slot's window as (embedding, score) pairs, oldest first, copied."""
         pos = self._window(self._count[[slot]])[0]
-        return list(zip(self._pool[self._ring[slot, pos]], self._scores[slot, pos].tolist()))
+        return list(zip(self._pool[slot, pos], self._scores[slot, pos].tolist()))
 
     def features(self, slots: np.ndarray, staged: bool = False) -> list[np.ndarray]:
         """The feature of each slot's window, its staged observation included if staged.
@@ -222,53 +192,42 @@ class _HistoryStore:
                 batch = members[start:start + FEATURE_BATCH]
                 rows = slots[batch, None]
                 pos = self._window(ends[batch])
-                unit = _unit_means(self._pool[self._ring[rows, pos]], self._scores[rows, pos])
+                unit = _unit_means(self._pool[rows, pos], self._scores[rows, pos])
                 for k, i in enumerate(batch.tolist()):
                     features[i] = unit[k]
         return features
 
     def _window(self, ends: np.ndarray) -> np.ndarray:
-        """Per end, the ring positions of the last min(end, tau) observations
+        """Per end, the positions of the last min(end, tau) observations
         before it, oldest first; the windows must have one length."""
         n = min(int(ends[0]), self.tau)
         return (ends[:, None] - n + np.arange(n)) % (self.tau + 1)
 
-    def _take_rows(self, k: int, dim: int) -> list[int]:
-        """k rows for new observations: given-back rows first, then fresh ones."""
-        fresh = max(k - len(self._free_rows), 0)
-        if self._pool is None or self._top + fresh > len(self._pool):
-            self._grow(max(self._top + fresh, 0 if self._pool is None else 2 * len(self._pool)),
-                       dim)
-        reused = self._free_rows[len(self._free_rows) - (k - fresh):]
-        del self._free_rows[len(self._free_rows) - (k - fresh):]
-        self._top += fresh
-        return reused + list(range(self._top - fresh, self._top))
-
-    def _grow(self, rows: int, dim: int):
-        """Make room for at least `rows` pool rows, keeping the ones handed out.
+    def _grow(self, slots: int, dim: int):
+        """Make room for `slots` slots of `dim`-long embeddings, keeping those held.
 
         The pool is a view of a private anonymous memory map. The kernel
-        zero-fills its pages on first write, so rows not yet handed out take
-        no memory, and where it has mremap a resize moves the pages instead
-        of copying them; elsewhere the rows handed out are copied into a new
-        map. A map cannot be resized while an array views it, and the pool
-        is the only view the store keeps.
+        zero-fills its pages on first write, so slots never opened take no
+        memory, and where it has mremap a resize moves the pages instead
+        of copying them; elsewhere the pool is copied into a new map. A map
+        cannot be resized while an array views it, and the pool is the only
+        view the store keeps.
         """
-        nbytes = rows * dim * np.dtype(np.float64).itemsize
+        nbytes = slots * (self.tau + 1) * dim * np.dtype(np.float64).itemsize
+        shape = (-1, self.tau + 1, dim)
         if self._map is None:
             self._map = mmap.mmap(-1, nbytes, **_PRIVATE_MAP)
-            self._pool = np.frombuffer(self._map).reshape(-1, dim)
+            self._pool = np.frombuffer(self._map).reshape(shape)
             return
         self._pool = None
         try:
             self._map.resize(nbytes)
         except (SystemError, OSError):  # no mremap, as on macOS
-            held = np.frombuffer(self._map).reshape(-1, dim)[:self._top]
             grown = mmap.mmap(-1, nbytes, **_PRIVATE_MAP)
-            np.frombuffer(grown).reshape(-1, dim)[:self._top] = held
+            grown[:len(self._map)] = self._map
             self._map = grown
         finally:
-            self._pool = np.frombuffer(self._map).reshape(-1, dim)
+            self._pool = np.frombuffer(self._map).reshape(shape)
 
 
 def split_by_score(detections, config: TrackerConfig):
@@ -300,20 +259,13 @@ class Track:
     window the frame would leave in one batched pass, and only then records
     the matches, founds new tracks and assigns the features. While a track
     is lost its window is not touched, so the feature stays frozen at its
-    last matched appearance. A removed track gives its rows back to the
+    last matched appearance. A removed track gives its slot back to the
     store: its history is empty and its feature None, while `track_id`,
     `class_id`, `state`, `frames_since_match`, `last_bbox` and `last_frame`
-    stay. A `Track(...)` built by hand has a store of its own, which
-    `_record` appends to; its `feature` stays None, so it cannot go into
-    build_cost_matrix.
+    stay. Only Tracker.step builds tracks, each on a slot of its store.
     """
 
-    def __init__(self, track_id: int, detection: Detection, frame: int, tau: int):
-        store = _HistoryStore(tau)
-        self._open(track_id, detection, store, int(store.open(1)[0]))
-        self._record(detection, frame)
-
-    def _open(self, track_id: int, detection: Detection, store: _HistoryStore, slot: int):
+    def __init__(self, track_id: int, detection: Detection, store: _HistoryStore, slot: int):
         self.track_id = track_id
         self.class_id = detection.class_id
         self.feature: np.ndarray | None = None
@@ -323,13 +275,6 @@ class Track:
     @property
     def history(self) -> list:
         return [] if self._slot is None else self._store.history(self._slot)
-
-    def _record(self, detection: Detection, frame: int):
-        """A match of a hand-built track; the feature is left as it was."""
-        slot = np.array([self._slot])
-        self._store.stage(slot, [detection.embedding], [detection.score])
-        self._store.advance(slot)
-        self._matched(detection, frame)
 
     def _matched(self, detection: Detection, frame: int):
         """The bookkeeping of a match whose observation the store has taken."""
@@ -423,11 +368,11 @@ class Tracker:
         unmatched high-band detections above min_init_score found new tracks.
         Low-band detections never found tracks. This is the one place a
         track is founded, recorded and refreshed: each matched or founding
-        detection is written into its track's spare ring position in the
-        store, the features of all those windows are computed in one batched
-        pass (see _HistoryStore.features), and only then are the windows
-        advanced, tracks recorded, aged and founded and the features
-        assigned; a removed track gives its rows back. The outputs are built
+        detection is written into the spare position of its track's slot in
+        the store, the features of all those windows are computed in one
+        batched pass (see _HistoryStore.features), and only then are the
+        windows advanced, tracks recorded, aged and founded and the features
+        assigned; a removed track gives its slot back. The outputs are built
         in track-id order. The work is proportional to the live tracks, not
         to every track ever founded.
 
@@ -437,7 +382,9 @@ class Tracker:
         changes: a frame that raises NonMonotonicFrameError,
         MissingEmbeddingError, DimensionMismatchError, ZeroNormError (a mean
         that cancels out) or ZeroWeightError (a window whose scores sum to
-        zero) leaves the tracker as it was, its store included.
+        zero) leaves the tracker as it was: only the spare positions, outside
+        every window, were written, and the slots opened for founders are
+        released.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -479,8 +426,8 @@ class Tracker:
         founders = [det for det in leftovers if det.score >= cfg.min_init_score]
 
         # The features of the windows this frame would leave, computed from
-        # the staged observations before any state changes: a raise here
-        # undoes the staging and leaves the tracker as it was.
+        # the staged observations before any state changes: after a raise
+        # here only the founders' slots need to be given back.
         store = self._store
         fresh = store.open(len(founders))
         slots = np.concatenate([np.array([t._slot for t, _ in matched], dtype=np.intp), fresh])
@@ -490,7 +437,6 @@ class Tracker:
                         [det.score for det in observed])
             features = store.features(slots, staged=True)
         except BaseException:
-            store.unstage(slots)
             store.release(fresh)
             raise
         store.advance(slots)
@@ -505,8 +451,7 @@ class Tracker:
             stats.removed += remaining[i].state is TrackState.REMOVED
         new_tracks = []
         for slot, det in zip(fresh.tolist(), founders):
-            track = Track.__new__(Track)
-            track._open(self._next_id, det, store, slot)
+            track = Track(self._next_id, det, store, slot)
             track._matched(det, frame)
             new_tracks.append(track)
             self._next_id += 1

@@ -280,6 +280,8 @@ def test_orphan_embedding_exits_14(tmp_path, capsys):
     [
         ("synth", "--score-dip", "a:8:1:0.5"),
         ("synth", "--dropout-window", "5:x:1"),
+        ("synth", "--arena-width", "43.99"),
+        ("synth", "--arena-height", "43.99"),
         ("track", "--nms-thresh", "2"),
         ("eval", "--iou-gate", "0"),
     ],

@@ -127,6 +127,16 @@ def test_iou_matrix_hand_cases():
         assert iou_matrix([], [a] * n).dtype == np.float64
 
 
+def test_iou_matrix_reads_a_union_rounded_to_zero_as_no_overlap():
+    # y + h rounds up to y + 2 here, so a box meets itself over an area of 2
+    # and the union 1 + 1 - 2 is 0: the scalar form divides by zero.
+    far = BBox(0.0, 9007199254740994.0, 1.0, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        scalar_iou(far, far)
+    assert iou_matrix([far], [far]).tolist() == [[0.0]]
+    _same_bits([BBox(0, 0, 1, 1), far], [BBox(0, 0, 1, 1), far])
+
+
 def test_iou_is_the_kernel_on_one_pair():
     a, b = BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)
     assert type(iou(a, b)) is float

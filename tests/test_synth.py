@@ -23,7 +23,7 @@ from reidmot import (
 )
 from reidmot import cli, synth
 from reidmot.io import load_text
-from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS
+from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS, MAX_SPEED
 
 from oracles import loop_reflect, loop_sample_bases
 
@@ -132,6 +132,18 @@ def test_boxes_stay_inside_arena():
         assert 0.0 <= e.bbox.x <= 200.0 - BOX_SIZE + 1e-9
         assert 0.0 <= e.bbox.y <= 120.0 - BOX_SIZE + 1e-9
         assert e.bbox.w == BOX_SIZE and e.bbox.h == BOX_SIZE
+
+
+def test_arena_must_leave_room_for_one_step():
+    # A narrower arena would need several bounces per step.
+    for arena in ((43.99, 100.0), (100.0, 43.99)):
+        with pytest.raises(ConfigError, match="at least 44.0px"):
+            ScenarioSpec(arena=arena)
+    bundle = generate(ScenarioSpec(num_identities=5, num_frames=300, arena=(44.0, 44.0),
+                                   seed=7))
+    assert len(bundle.gt) == 5 * 300
+    for e in bundle.gt:
+        assert 0.0 <= e.bbox.x <= MAX_SPEED and 0.0 <= e.bbox.y <= MAX_SPEED
 
 
 def test_boxes_actually_move():
@@ -248,10 +260,12 @@ def test_sample_bases_equals_the_pairwise_loop_at_the_bound(seed, dim, count, of
 
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6),
-       width=st.floats(BOX_SIZE + 0.25, 1280.0), height=st.floats(BOX_SIZE + 0.25, 1280.0),
-       steps=st.integers(1, 40))
-# Arenas a hair wider than a box: a step of up to 4 px bounces many times.
-@example(seed=0, count=6, width=BOX_SIZE + 0.25, height=BOX_SIZE + 0.3, steps=40)
+       width=st.floats(BOX_SIZE + MAX_SPEED, 1280.0),
+       height=st.floats(BOX_SIZE + MAX_SPEED, 1280.0), steps=st.integers(1, 40))
+# The narrowest arenas ScenarioSpec accepts: a box bounces off a wall in
+# most steps.
+@example(seed=0, count=6, width=BOX_SIZE + MAX_SPEED, height=BOX_SIZE + MAX_SPEED + 0.05,
+         steps=40)
 def test_reflection_equals_the_per_identity_loop(seed, count, width, height, steps):
     rng = np.random.Generator(np.random.PCG64(seed))
     max_x, max_y = width - BOX_SIZE, height - BOX_SIZE

@@ -15,7 +15,6 @@ from reidmot import (
     FrameInput,
     MissingEmbeddingError,
     NonMonotonicFrameError,
-    Track,
     Tracker,
     TrackerConfig,
     TrackState,
@@ -102,30 +101,25 @@ def test_weighted_feature_matches_oracle_on_random_histories():
 
 def test_track_stores_oracle_feature():
     rng = np.random.default_rng(77)
-    tracks, histories = [], []
+    histories = []
     for _ in range(100):
         length = int(rng.integers(1, 31))
-        dets = []
+        history = []
         for _ in range(length):
             e = rng.normal(size=16)
-            dets.append(det(1, float(rng.uniform(0.05, 1.0)), e / np.linalg.norm(e)))
-        track = Track(1, dets[0], frame=1, tau=30)
-        for d in dets[1:]:
-            track._record(d, frame=1)
-        assert track.feature is None  # only Tracker.step sets it
-        tracks.append(track)
-        histories.append([(d.embedding, d.score) for d in dets])
-    features = _weighted_means([t.history for t in tracks])
+            history.append((e / np.linalg.norm(e), float(rng.uniform(0.05, 1.0))))
+        histories.append(history)
+    features = _weighted_means(histories)
     for feature, history in zip(features, histories):
         want = direct_weighted_feature(history, 30)
         assert np.max(np.abs(feature - np.array(want))) < 1e-9
 
 
 def test_track_history_is_bounded_by_tau():
-    d0 = det(1, 0.9, unit(1, 0))
-    track = Track(1, d0, frame=1, tau=3)
-    for k in range(10):
-        track._record(det(1, 0.9, unit(1, 0)), frame=1)
+    tracker = Tracker(TrackerConfig(tau=3))
+    for f in range(1, 11):
+        tracker.step(FrameInput(frame=f, detections=(det(f, 0.9, unit(1, 0)),)))
+    [track] = tracker.tracks
     assert len(track.history) == 3
 
 
@@ -455,6 +449,10 @@ def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
         tracker.step(FrameInput(frame=1, detections=(det(1, 0.0, unit(1, 0)),)))
 
 
+def _open_slots(store):
+    return len(store._count) - len(store._free_slots)
+
+
 def _tracker_state(tracker):
     """Everything a step may change, in a form that compares by value."""
     return (tracker._last_frame, tracker._dim, tracker._next_id, [
@@ -480,9 +478,9 @@ def test_zero_norm_refresh_leaves_the_tracker_as_it_was():
     assert [(o.frame, o.track_id) for o in out] == [(2, 1)]
     assert len(tracker.tracks[0].history) == 2
 
-    # The same past a wrapped ring, where the staged observation overwrites
-    # a row that left the window: for a mean that cancels and for a window
-    # whose scores sum to zero. No row of the store is leaked either.
+    # The same past a wrapped slot, where the staged observation overwrites
+    # one that left the window: for a mean that cancels and for a window
+    # whose scores sum to zero. No slot of the store is leaked either.
     cfg = TrackerConfig(tau=2, high_thresh=0.5, low_thresh=0.0, sim_gate_high=-1.0,
                         sim_gate_low=-1.0, per_class=False)
     for lead_in, (emb, score), error in (
@@ -493,12 +491,12 @@ def test_zero_norm_refresh_leaves_the_tracker_as_it_was():
         for f, lead_score in enumerate(lead_in, start=1):
             tracker.step(FrameInput(frame=f, detections=(det(f, lead_score, e),)))
         before = _tracker_state(tracker)
-        assert tracker._store.held_rows == cfg.tau + 1
+        assert _open_slots(tracker._store) == 1
         frame = len(lead_in) + 1
         with pytest.raises(error):
             tracker.step(FrameInput(frame=frame, detections=(det(frame, score, emb),)))
         assert _tracker_state(tracker) == before
-        assert tracker._store.held_rows == cfg.tau + 1
+        assert _open_slots(tracker._store) == 1
         out = tracker.step(FrameInput(frame=frame, detections=(det(frame, 0.9, unit(0, 1, 0)),)))
         assert [(o.frame, o.track_id) for o in out] == [(frame, 1)]
         assert [s for _, s in tracker.tracks[0].history] == [lead_in[-1], 0.9]
@@ -518,22 +516,24 @@ def test_zero_weight_founding_leaves_the_tracker_as_it_was():
 def test_store_holds_the_rows_of_live_tracks_only():
     # Churn: three identities persist while every frame founds tracks on
     # fresh random appearances that never match again and are removed two
-    # frames later. The store gives their rows back, so what it holds, and
-    # the rows it ever handed out, follow the live tracks, not every track
-    # ever founded.
+    # frames later. The store gives their slots back, so the slots it holds,
+    # each tau + 1 rows, and the slots it ever used follow the live tracks,
+    # not every track ever founded. A step opens its founders' slots before
+    # its removed tracks give theirs back, so those count as live at once.
     rng = np.random.default_rng(21)
     cfg = TrackerConfig(tau=3, max_lost_age=2, per_class=False)
     base = rng.normal(size=(3, 16))
     tracker = Tracker(cfg)
-    most_live = 0
+    most_live = used = 0
     for f in range(1, 201):
         vectors = np.concatenate([base + rng.normal(scale=0.05, size=base.shape),
                                   rng.normal(size=(4, 16))])
         tracker.step(FrameInput(frame=f, detections=tuple(
             det(f, 0.9, v / np.linalg.norm(v)) for v in vectors)))
-        most_live = max(most_live, len(tracker.live_tracks))
-        assert tracker._store.held_rows <= len(tracker.live_tracks) * (cfg.tau + 1)
-    assert tracker._store._top <= most_live * (cfg.tau + 1)
+        most_live = max(most_live, len(tracker.live_tracks) + tracker.last_stats.removed)
+        used = max([used] + [t._slot + 1 for t in tracker.live_tracks])
+        assert _open_slots(tracker._store) <= len(tracker.live_tracks)
+    assert used <= most_live
     assert len(tracker.tracks) > 10 * most_live
     removed = [t for t in tracker.tracks if t.state is TrackState.REMOVED]
     assert len(removed) == len(tracker.tracks) - len(tracker.live_tracks)
@@ -564,8 +564,35 @@ def test_store_grows_by_copying_where_a_map_cannot_be_resized(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", Unresizable)
     outputs, state, tracker = run()
     assert isinstance(tracker._store._map, Unresizable)
-    assert len(tracker._store._pool) >= 12 * (cfg.tau + 1)  # it grew from one row
+    assert len(tracker._store._pool) >= 12  # it grew from 8 slots
     assert (outputs, state) == (want_outputs, want_state)
+
+
+def test_no_view_of_the_pool_leaves_the_store():
+    # mmap.resize raises BufferError while an array views the map, so the
+    # histories and features read after frame 1 must be copies for the
+    # pool to grow under them, and they keep the values they were read with.
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(40, 8))
+
+    def frame(f, k):
+        vectors = base[:k] + rng.normal(scale=0.05, size=(k, 8))
+        return FrameInput(frame=f, detections=tuple(
+            det(f, 0.9, v / np.linalg.norm(v)) for v in vectors))
+
+    tracker = Tracker(TrackerConfig(tau=4, per_class=False))
+    tracker.step(frame(1, 2))
+    held = [(t.history, t.feature) for t in tracker.live_tracks]
+    copies = [([(e.copy(), s) for e, s in history], feature.copy())
+              for history, feature in held]
+    slots = len(tracker._store._pool)
+    for f in range(2, 5):
+        tracker.step(frame(f, 10 * f))
+    assert len(tracker._store._pool) > slots
+    for (history, feature), (want_history, want_feature) in zip(held, copies):
+        assert np.array_equal(feature, want_feature)
+        assert [(e.tobytes(), s) for e, s in history] == [
+            (e.tobytes(), s) for e, s in want_history]
 
 
 # Scores on and either side of both band edges (low 0.4, high 0.8) and of the
