@@ -176,8 +176,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_nms(args) -> int:
     dets = seqio.parse_detections(seqio.load_text(args.detections))
-    per_frame = seqio.nms_frames(group_by_frame(dets).values(), args.nms_thresh)
-    kept = [det for frame_kept in per_frame for det in frame_kept]
+    frames = list(group_by_frame(dets).values())
+    kept = []
+    # nms lists a frame's kept boxes by score; they are written in file
+    # order, the order by which embeddings join them.
+    for frame_dets, frame_kept in zip(frames, seqio.nms_frames(frames, args.nms_thresh)):
+        keep = {id(det) for det in frame_kept}
+        kept += [det for det in frame_dets if id(det) in keep]
     seqio.save_text(args.out, seqio.write_detections(kept))
     print(
         f"nms at iou {args.nms_thresh}: kept {len(kept)} of {len(dets)} detections",

@@ -122,14 +122,17 @@ def normalize_embedding(raw, dim: int | None = None) -> np.ndarray:
     """Return `raw` scaled to unit L2 norm as a float64 array.
 
     Raises DimensionMismatchError unless `raw` passes embedding_length,
-    ValueError if an entry is not finite, ZeroNormError if its norm is below
-    ZERO_NORM_EPS.
+    ValueError if an entry is not finite or the norm overflows (as entries
+    near 1e200 make it), ZeroNormError if the norm is below ZERO_NORM_EPS.
     """
     arr = np.asarray(raw, dtype=np.float64)
     embedding_length(arr.shape, dim)
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding entries must be finite")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not isfinite(norm):
+        raise ValueError(f"embedding norm must be finite, got {norm!r}")
     if norm < ZERO_NORM_EPS:
         raise ZeroNormError(f"cannot normalize vector with norm {norm!r}")
     return arr / norm

@@ -3,9 +3,10 @@
 Three formats, one record per line, `#` starts a comment, blank lines are
 ignored, LF or CRLF both accepted. Malformed lines raise ParseError with the
 1-based line number; nothing is silently skipped. The parsers check only the
-layout of a line (field count, numeric text) and the embedding key; the field
-rules, non-finite numbers included, belong to the record types in `core`,
-whose ValueError the parsers re-raise as a ParseError for the line.
+layout of a line (field count, numeric text: every field of the two 9-field
+formats, through one row reader) and the embedding key; the field rules,
+non-finite numbers included, belong to the record types in `core`, whose
+ValueError the parsers re-raise as a ParseError for the line.
 
     detections:  frame,-1,x,y,w,h,score,class,-1
     embeddings:  frame,index,v1,...,vd      (index = 0-based per-frame file order)
@@ -98,6 +99,37 @@ def _field_int(fields, idx, line_no, what) -> int:
         raise ParseError(line_no, f"non-integer {what}: {fields[idx]!r}") from None
 
 
+# The fields of a detection, gt or results line, in file order, each with
+# its reader. A detection file's id and last columns hold -1.
+_NINE_FIELDS = (("frame", _field_int), ("identity", _field_int), ("x", _field_float),
+                ("y", _field_float), ("w", _field_float), ("h", _field_float),
+                ("score", _field_float), ("class", _field_int), ("visibility", _field_float))
+
+
+def _nine_field_rows(source):
+    """Yield (line_no, values) for every data line of a 9-field file.
+
+    The values are the nine fields as numbers, int or float as _NINE_FIELDS
+    reads them. A line without 9 fields raises ParseError, and so does the
+    first field that is not a number of its kind, by its reader's message.
+    """
+    for line_no, text in _lines(source):
+        fields = text.split(",")
+        if len(fields) != 9:
+            raise ParseError(line_no, f"expected 9 fields, got {len(fields)}")
+        frame, identity, x, y, w, h, score, class_id, flag = fields
+        # Inline conversions are the fast path; on a failure the readers
+        # find the first bad field and raise its message.
+        try:
+            values = (int(frame), int(identity), float(x), float(y), float(w), float(h),
+                      float(score), int(class_id), float(flag))
+        except ValueError:
+            for k, (what, read) in enumerate(_NINE_FIELDS):
+                read(fields, k, line_no, what)  # raises for the first bad field
+            raise
+        yield line_no, values
+
+
 def parse_detections(source) -> list[Detection]:
     """Parse a detection file; returns detections sorted by frame.
 
@@ -105,17 +137,7 @@ def parse_detections(source) -> list[Detection]:
     0-based per-frame index used to join embeddings.
     """
     dets = []
-    for line_no, text in _lines(source):
-        fields = text.split(",")
-        if len(fields) != 9:
-            raise ParseError(line_no, f"expected 9 fields, got {len(fields)}")
-        frame = _field_int(fields, 0, line_no, "frame")
-        x = _field_float(fields, 2, line_no, "x")
-        y = _field_float(fields, 3, line_no, "y")
-        w = _field_float(fields, 4, line_no, "w")
-        h = _field_float(fields, 5, line_no, "h")
-        score = _field_float(fields, 6, line_no, "score")
-        class_id = _field_int(fields, 7, line_no, "class")
+    for line_no, (frame, _, x, y, w, h, score, class_id, _) in _nine_field_rows(source):
         try:
             dets.append(Detection(frame=frame, bbox=BBox(x, y, w, h),
                                   score=score, class_id=class_id))
@@ -193,9 +215,9 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
     Returns None for anything the line parser might reject or read
     differently: whatever _loadtxt defers, a key out of range or repeated,
     a wrong dimension, a non-finite component, or a norm that
-    normalize_embedding would reject or that overflows. The vectors are
-    row views of the loadtxt block, normalized in place: a contiguous copy
-    would raise the peak RSS by the block's size. The row-matmul norm has
+    normalize_embedding would reject (zero, tiny or overflowed). The vectors
+    are row views of the loadtxt block, normalized in place: a contiguous
+    copy would raise the peak RSS by the block's size. The row-matmul norm has
     the bits of np.linalg.norm on each row; norm(axis=1) does not.
     """
     def row_dtype(first_line):
@@ -210,8 +232,10 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
     keys, vecs = block["key"], block["vec"]
     if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
         return None
-    # A non-finite component makes its row's norm non-finite.
-    norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
+    # A non-finite component makes its row's norm non-finite, and so does
+    # an overflow: the line parser reports either.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
     if not (np.isfinite(norms) & (norms >= ZERO_NORM_EPS)).all():
         return None
     vecs /= norms[:, None]
@@ -283,19 +307,7 @@ def parse_gt(source) -> list[GtEntry]:
     """
     entries = []
     seen = set()
-    for line_no, text in _lines(source):
-        fields = text.split(",")
-        if len(fields) != 9:
-            raise ParseError(line_no, f"expected 9 fields, got {len(fields)}")
-        frame = _field_int(fields, 0, line_no, "frame")
-        identity = _field_int(fields, 1, line_no, "identity")
-        x = _field_float(fields, 2, line_no, "x")
-        y = _field_float(fields, 3, line_no, "y")
-        w = _field_float(fields, 4, line_no, "w")
-        h = _field_float(fields, 5, line_no, "h")
-        _field_float(fields, 6, line_no, "score")
-        class_id = _field_int(fields, 7, line_no, "class")
-        _field_float(fields, 8, line_no, "visibility")
+    for line_no, (frame, identity, x, y, w, h, _, class_id, _) in _nine_field_rows(source):
         try:
             entry = GtEntry(frame=frame, identity=identity,
                             bbox=BBox(x, y, w, h), class_id=class_id)

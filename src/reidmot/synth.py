@@ -149,18 +149,33 @@ def _advance(pos, vel, limit) -> tuple[np.ndarray, np.ndarray]:
     return pos, np.where(out, -vel, vel)
 
 
-def _dipped_score(spec, frame: int, identity: int) -> float:
-    for start, end, dip_id, score in spec.score_dips:
-        if dip_id == identity and start <= frame <= end:
-            return float(score)
-    return BASE_SCORE
+def _score_table(spec) -> np.ndarray:
+    """The score of each (frame, identity), both counted from 1.
+
+    BASE_SCORE, or the dipped score of the first listed dip covering the
+    cell: the dips are laid down last to first, so the first one wins.
+    """
+    scores = np.full((spec.num_frames + 1, spec.num_identities + 1), BASE_SCORE)
+    for start, end, identity, score in reversed(spec.score_dips):
+        scores[_frame_rows(spec, start, end), identity] = score
+    return scores
 
 
-def _dropped(spec, frame: int, identity: int) -> bool:
-    return any(
-        win_id == identity and start <= frame <= end
-        for start, end, win_id in spec.dropout_windows
-    )
+def _dropout_table(spec) -> np.ndarray:
+    """Whether each (frame, identity), both counted from 1, lies in a dropout window."""
+    hidden = np.zeros((spec.num_frames + 1, spec.num_identities + 1), dtype=bool)
+    for start, end, identity in spec.dropout_windows:
+        hidden[_frame_rows(spec, start, end), identity] = True
+    return hidden
+
+
+def _frame_rows(spec, start: int, end: int) -> slice:
+    """The table rows of frames start..end, clipped to frames 1..num_frames.
+
+    ScenarioSpec takes windows that begin before frame 1 or end past the
+    last frame; unclipped, a negative end would count from the table's end.
+    """
+    return slice(max(start, 1), max(min(end, spec.num_frames) + 1, 1))
 
 
 def generate(spec: ScenarioSpec) -> SequenceBundle:
@@ -179,6 +194,8 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
     pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
     vel = rng.uniform(-MAX_SPEED, MAX_SPEED, size=(spec.num_identities, 2))
 
+    scores = _score_table(spec).tolist()
+    hidden = _dropout_table(spec).tolist()
     frames = []
     gt = []
     for frame in range(1, spec.num_frames + 1):
@@ -187,7 +204,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
             identity = i + 1
             bbox = BBox(float(pos[i, 0]), float(pos[i, 1]), BOX_SIZE, BOX_SIZE)
             gt.append(GtEntry(frame=frame, identity=identity, bbox=bbox, class_id=0))
-            observed = not _dropped(spec, frame, identity)
+            observed = not hidden[frame][identity]
             if spec.dropout_prob > 0.0 and rng.random() < spec.dropout_prob:
                 observed = False
             if not observed:
@@ -201,7 +218,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
             dets.append(Detection(
                 frame=frame,
                 bbox=bbox,
-                score=_dipped_score(spec, frame, identity),
+                score=scores[frame][identity],
                 class_id=0,
                 embedding=emb,
             ))

@@ -64,13 +64,13 @@ def _weighted_means(histories) -> list[np.ndarray]:
     """weighted_feature of each whole history, by the tracker's own feature path.
 
     The histories are written into a _HistoryStore one position at a time,
-    the way Tracker.step writes observations, and their features come from
-    _HistoryStore.features, so they have the bits a track with the same
-    history gets. An empty history raises EmptyHistoryError before anything
-    is computed; a history whose scores sum below ZERO_WEIGHT_EPS raises
-    ZeroWeightError and a mean that normalize_embedding would reject raises
-    its error; when several histories fail, the first failing one of the
-    first failing batch raises.
+    the way Tracker.step writes observations, each one's last observation
+    staged, and their features come from _HistoryStore.features, so they
+    have the bits a track with the same history gets. An empty history
+    raises EmptyHistoryError before anything is computed; a history whose
+    scores sum below ZERO_WEIGHT_EPS raises ZeroWeightError and a mean that
+    normalize_embedding would reject raises its error; when several
+    histories fail, the first failing one of the first failing batch raises.
     """
     histories = [list(history) for history in histories]
     if any(len(history) == 0 for history in histories):
@@ -84,7 +84,7 @@ def _weighted_means(histories) -> list[np.ndarray]:
         have = np.flatnonzero(lengths > k)
         store.stage(slots[have], [histories[i][k][0] for i in have],
                     [histories[i][k][1] for i in have])
-        store.advance(slots[have])
+        store.advance(slots[lengths > k + 1])  # the last observation stays staged
     return store.features(slots)
 
 
@@ -92,21 +92,21 @@ def _unit_means(embs: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """The unit score-weighted means of an (m, n, d) block of m histories.
 
     The batched matmuls give each row the same bits as the one-history forms
-    `embs.T @ scores / total` and `np.linalg.norm`; padding histories to a
-    common length, `einsum` or `norm(axis=1)` would not. A history whose
-    scores sum below ZERO_WEIGHT_EPS raises ZeroWeightError, a mean that
-    normalize_embedding would reject raises its error, the first such row
-    raising.
+    `embs.T @ scores / total` and `np.linalg.norm`, whatever else is in the
+    block; padding histories to a common length, `einsum` or `norm(axis=1)`
+    would not. A history whose scores sum below ZERO_WEIGHT_EPS raises
+    ZeroWeightError, a mean that normalize_embedding would reject raises its
+    error, the first such row raising.
     """
     totals = scores.sum(axis=1)
     light = np.flatnonzero(totals < ZERO_WEIGHT_EPS)
     if light.size:
         raise ZeroWeightError(f"history scores sum to {float(totals[light[0]])!r}")
     means = np.matmul(scores[:, None, :], embs)[:, 0, :] / totals[:, None]
-    norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
-    # A zero, tiny or non-finite norm goes to normalize_embedding, which
-    # raises for it what it always raised; the one it lets through, a
-    # norm that overflowed to inf, gives the same zeros as the division.
+    with np.errstate(over="ignore"):  # an overflowed norm raises below
+        norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
+    # A zero, tiny or non-finite norm, one that overflowed to inf included,
+    # goes to normalize_embedding, which raises for it.
     for k in np.flatnonzero(~(np.isfinite(norms) & (norms >= ZERO_NORM_EPS))):
         normalize_embedding(means[k])
     return means / norms[:, None]
@@ -120,11 +120,12 @@ class _HistoryStore:
     the count of observations the slot has taken. Observation k sits at
     position k % (tau + 1) of its slot, so the window of the last
     min(count, tau) observations leaves one spare position, count % (tau + 1):
-    stage writes a new observation there without changing the window, and
-    advance makes it part of the window. A released slot is reused before
-    a new one is taken, so the store writes to no more slots than were ever
-    open at once. No view of the pool leaves the store: history and
-    features return copies, which lets the pool be resized in place.
+    stage writes a new observation there without changing the window,
+    features reads the window that observation would leave, and advance
+    makes it part of the window. A released slot is reused before a new
+    one is taken, so the store writes to no more slots than were ever open
+    at once. No view of the pool leaves the store: history and features
+    return copies, which lets the pool be resized in place.
     """
 
     def __init__(self, tau: int):
@@ -160,30 +161,24 @@ class _HistoryStore:
         self._count[slots] += 1
 
     def release(self, slots: np.ndarray):
-        """Close the slots.
-
-        A store left holding no observation forgets its pool, so that the
-        embedding length of a first frame that failed is not kept.
-        """
+        """Close the slots."""
         self._count[slots] = 0
         self._free_slots.extend(slots.tolist())
-        if not self._count.any():
-            self._pool, self._map = None, None
 
     def history(self, slot: int) -> list:
         """The slot's window as (embedding, score) pairs, oldest first, copied."""
         pos = self._window(self._count[[slot]])[0]
         return list(zip(self._pool[slot, pos], self._scores[slot, pos].tolist()))
 
-    def features(self, slots: np.ndarray, staged: bool = False) -> list[np.ndarray]:
-        """The feature of each slot's window, its staged observation included if staged.
+    def features(self, slots: np.ndarray) -> list[np.ndarray]:
+        """The feature of each slot's window with its staged observation as the newest.
 
         Windows of one length go through _unit_means together, at most
         FEATURE_BATCH of them at once, each batch gathered from the pool
         with one indexed copy; lengths are taken in order of first
         appearance.
         """
-        ends = self._count[slots] + staged
+        ends = self._count[slots] + 1
         lengths = np.minimum(ends, self.tau)
         features: list = [None] * len(slots)
         for n in dict.fromkeys(lengths.tolist()):
@@ -254,15 +249,17 @@ class Track:
     `history` is the window of its last `tau` (embedding, score)
     observations, oldest first, read from the tracker's _HistoryStore (a
     copy each time); `feature` is the score-weighted mean of that window
-    (see weighted_feature). Tracker.step is its whole lifecycle: it writes
-    the frame's observations into the store, computes the features of every
-    window the frame would leave in one batched pass, and only then records
-    the matches, founds new tracks and assigns the features. While a track
+    (see weighted_feature). Tracker.step is its whole lifecycle: it stages
+    the matched tracks' observations in the store, computes the features of
+    every window the frame would leave in one batched pass (a founder's
+    from its one observation), and only then records the matches, gives the
+    removed tracks' slots back, founds new tracks on slots of the store and
+    assigns the features. While a track
     is lost its window is not touched, so the feature stays frozen at its
-    last matched appearance. A removed track gives its slot back to the
-    store: its history is empty and its feature None, while `track_id`,
-    `class_id`, `state`, `frames_since_match`, `last_bbox` and `last_frame`
-    stay. Only Tracker.step builds tracks, each on a slot of its store.
+    last matched appearance. A removed track has no slot: its history is
+    empty and its feature None, while `track_id`, `class_id`, `state`,
+    `frames_since_match`, `last_bbox` and `last_frame` stay. Only
+    Tracker.step builds tracks.
     """
 
     def __init__(self, track_id: int, detection: Detection, store: _HistoryStore, slot: int):
@@ -367,14 +364,15 @@ class Tracker:
         absorb their detection; unmatched tracks age and eventually drop off;
         unmatched high-band detections above min_init_score found new tracks.
         Low-band detections never found tracks. This is the one place a
-        track is founded, recorded and refreshed: each matched or founding
-        detection is written into the spare position of its track's slot in
-        the store, the features of all those windows are computed in one
-        batched pass (see _HistoryStore.features), and only then are the
-        windows advanced, tracks recorded, aged and founded and the features
-        assigned; a removed track gives its slot back. The outputs are built
-        in track-id order. The work is proportional to the live tracks, not
-        to every track ever founded.
+        track is founded, recorded and refreshed: each matched detection is
+        written into the spare position of its track's slot in the store,
+        the features of those windows are computed in one batched pass (see
+        _HistoryStore.features) and a founder's from its one detection, and
+        only then are the windows advanced and tracks recorded and aged; a
+        removed track gives its slot back, and the founders take slots last,
+        so the store never holds more slots than the most tracks live after
+        a step. The outputs are built in track-id order. The work is
+        proportional to the live tracks, not to every track ever founded.
 
         The embeddings are used as given, so they should be unit-norm (see
         normalize_embedding); core.embedding_dim checks their shapes. The
@@ -382,9 +380,8 @@ class Tracker:
         changes: a frame that raises NonMonotonicFrameError,
         MissingEmbeddingError, DimensionMismatchError, ZeroNormError (a mean
         that cancels out) or ZeroWeightError (a window whose scores sum to
-        zero) leaves the tracker as it was: only the spare positions, outside
-        every window, were written, and the slots opened for founders are
-        released.
+        zero) leaves the tracker as it was, since only the matched tracks'
+        spare positions, outside every window, were written.
         """
         cfg = self.config
         frame = frame_input.frame
@@ -425,20 +422,18 @@ class Tracker:
             leftovers = [pool[j] for j in res2.unmatched_cols if j < len(unmatched_high)]
         founders = [det for det in leftovers if det.score >= cfg.min_init_score]
 
-        # The features of the windows this frame would leave, computed from
-        # the staged observations before any state changes: after a raise
-        # here only the founders' slots need to be given back.
+        # The features of the windows this frame would leave, computed before
+        # any state changes: a matched track's observation is staged outside
+        # its window, and a founder's feature is that of its one observation.
         store = self._store
-        fresh = store.open(len(founders))
-        slots = np.concatenate([np.array([t._slot for t, _ in matched], dtype=np.intp), fresh])
-        observed = [det for _, det in matched] + founders
-        try:
-            store.stage(slots, [det.embedding for det in observed],
-                        [det.score for det in observed])
-            features = store.features(slots, staged=True)
-        except BaseException:
-            store.release(fresh)
-            raise
+        slots = np.array([t._slot for t, _ in matched], dtype=np.intp)
+        store.stage(slots, [det.embedding for _, det in matched],
+                    [det.score for _, det in matched])
+        features = store.features(slots)
+        if founders:
+            embs = np.array([det.embedding for det in founders], dtype=np.float64)
+            scores = np.array([det.score for det in founders], dtype=np.float64)
+            features += list(_unit_means(embs[:, None, :], scores[:, None]))
         store.advance(slots)
         self._last_frame = frame
         self._dim = dim
@@ -449,6 +444,10 @@ class Tracker:
         for i in res2.unmatched_rows:
             remaining[i]._miss(cfg.max_lost_age)
             stats.removed += remaining[i].state is TrackState.REMOVED
+        # Founders open their slots after the removed tracks gave theirs back.
+        fresh = store.open(len(founders))
+        store.stage(fresh, [det.embedding for det in founders], [det.score for det in founders])
+        store.advance(fresh)
         new_tracks = []
         for slot, det in zip(fresh.tolist(), founders):
             track = Track(self._next_id, det, store, slot)

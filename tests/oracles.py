@@ -11,7 +11,9 @@ sampler checks a candidate against one placed base at a time with np.dot,
 as the package did before it checked all of them with one product (it
 raises the package's error class, whose message the tests compare), and
 the wall reflection of synthetic motion goes one identity and one axis at
-a time, as the package did before it reflected every coordinate at once.
+a time, as the package did before it reflected every coordinate at once,
+and the synthetic score dips and dropout windows are scanned for each
+(frame, identity), as the package did before it built them into tables.
 If the fast paths drift, these catch it.
 """
 
@@ -22,6 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from reidmot.errors import SeparationInfeasibleError
+from reidmot.synth import BASE_SCORE
 
 
 def brute_force_assignment(costs):
@@ -341,3 +344,20 @@ def loop_reflect(pos, vel, max_x, max_y):
                     pos[i, axis] = 2.0 * limit - pos[i, axis]
                 vel[i, axis] = -vel[i, axis]
     return pos, vel
+
+
+def scan_dipped_score(spec, frame, identity):
+    """The synthetic score of `identity` in `frame`: that of the first listed
+    score dip whose window covers the frame, else BASE_SCORE."""
+    for start, end, dip_id, score in spec.score_dips:
+        if dip_id == identity and start <= frame <= end:
+            return float(score)
+    return BASE_SCORE
+
+
+def scan_dropped(spec, frame, identity):
+    """Whether a dropout window of `spec` hides `identity` in `frame`."""
+    return any(
+        win_id == identity and start <= frame <= end
+        for start, end, win_id in spec.dropout_windows
+    )

@@ -204,6 +204,40 @@ def test_nms_subcommand_drops_the_middle_box(tmp_path, capsys):
     assert [d.bbox.x for d in kept] == [0.0, 4.0]
 
 
+def test_nms_subcommand_keeps_file_order_so_embeddings_still_join(tmp_path, capsys):
+    # A 0.5 box, then a 0.9 box that does not overlap it, each seen again in
+    # frame 2. Written by score, the kept 0.9 box would take the 0.5 box's
+    # embedding, [1, 0], and its track would not match it in frame 2.
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.5,0,-1\n1,-1,50,0,10,10,0.9,0,-1\n"
+                   "2,-1,0,0,10,10,0.5,0,-1\n2,-1,50,0,10,10,0.9,0,-1\n")
+    emb.write_text("1,0,1,0\n1,1,0,1\n2,0,1,0\n2,1,0,1\n")
+    kept = tmp_path / "kept.txt"
+    assert main(["nms", str(det), str(kept)]) == 0
+    assert parse_detections(load_text(kept)) == parse_detections(load_text(det))
+    results = {}
+    for name, dets in (("original", det), ("kept", kept)):
+        results[name] = tmp_path / f"{name}-results.txt"
+        assert main(["track", str(dets), str(emb), str(results[name])]) == 0
+    capsys.readouterr()
+    assert results["kept"].read_text() == results["original"].read_text()
+    assert {e.identity for e in parse_gt(load_text(results["kept"]))} == {1}
+
+
+def test_nms_that_drops_a_box_leaves_an_orphan_embedding(tmp_path, capsys):
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.5,0,-1\n1,-1,1,0,10,10,0.9,0,-1\n")
+    emb.write_text("1,0,1,0\n1,1,0,1\n")
+    kept = tmp_path / "kept.txt"
+    assert main(["nms", str(det), str(kept)]) == 0
+    assert [d.score for d in parse_detections(load_text(kept))] == [0.9]
+    rc = main(["track", str(kept), str(emb), str(tmp_path / "out.txt")])
+    assert rc == 14
+    assert "frame 1, index 1" in capsys.readouterr().err
+
+
 def test_track_accepts_nms_and_stage2_flags(tmp_path, capsys):
     det, emb, gt = _synth(tmp_path)
     results = tmp_path / "results.txt"
@@ -324,6 +358,7 @@ def test_feature_that_cancels_out_exits_6(tmp_path, capsys):
 @pytest.mark.parametrize("embeddings, code, message", [
     ("1,0,1,0\n1,1,1,0,0\n", 5, "error: line 2: embedding has length 3, expected 2\n"),
     ("1,0,1,0\n1,1,0,0\n", 6, "error: line 2: cannot normalize vector with norm 0.0\n"),
+    ("1,0,1,0\n1,1,1e200,0\n", 3, "error: line 2: embedding norm must be finite, got inf\n"),
 ])
 def test_embedding_file_errors_name_their_line(tmp_path, capsys, embeddings, code, message):
     det = tmp_path / "det.txt"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reidmot import (
@@ -23,6 +23,7 @@ from reidmot import (
     cosine_similarity,
     iou,
     nms,
+    normalize_embedding,
     parse_detections,
     parse_embeddings,
     parse_gt,
@@ -72,6 +73,8 @@ def test_parse_detections_basic():
         ("1,-1,0,0,1e400,10,0.5,0,-1", "finite"),
         ("1,-1,0,0,10,10,nan,0,-1", "score"),
         ("1,-1,0,0,10,10,inf,0,-1", "score"),
+        ("1,abc,0,0,10,10,0.5,0,-1", "non-integer identity: 'abc'"),
+        ("1,-1,0,0,10,10,0.5,0,xyz", "non-numeric visibility: 'xyz'"),
     ],
 )
 def test_parse_detections_rejects_malformed(line, fragment):
@@ -116,6 +119,18 @@ def test_parse_embeddings_errors():
         parse_embeddings("1,0,1,0\n1,1,nan,1\n")
     with pytest.raises(ParseError, match="line 1: .*finite"):
         parse_embeddings("1,0,1,-inf\n")
+
+
+def test_embedding_whose_norm_overflows_names_its_line():
+    # Finite components whose squares overflow: the norm is inf, which
+    # would scale the vector to zeros.
+    message = r"^line 2: embedding norm must be finite, got inf$"
+    with pytest.raises(ParseError, match=message):
+        parse_embeddings("1,0,0.6,0.8\n1,1,1e200,0\n")
+    with pytest.raises(ParseError, match=message):
+        seqio._parse_embedding_lines("1,0,0.6,0.8\n1,1,1e200,0\n", None)
+    with pytest.raises(ValueError, match="norm must be finite"):
+        normalize_embedding([1e200, 0.0])
 
 
 def test_embedding_dimension_and_zero_norm_errors_name_their_line():
@@ -609,7 +624,8 @@ def embedding_files(draw):
         kind = draw(st.sampled_from(["key", "value", "zero", "short", "ragged", "extra"]))
         if kind in ("key", "value"):
             col, text = draw(key_edit if kind == "key" else value_edit)
-            fields[col] = text
+            if col < len(fields):  # an earlier "short" or "ragged" edit may have cut it
+                fields[col] = text
         elif kind == "zero":
             fields[2:] = ["0"] * dim
         elif kind == "short":
@@ -634,6 +650,7 @@ def _parse_outcome(parse, text, expected_dim):
 
 @settings(derandomize=True, max_examples=600, database=None, deadline=None)
 @given(embedding_files(), st.sampled_from([None, 2, 3]))
+@example(text="1,0,1e200,0\n", expected_dim=None)
 def test_columnar_embedding_parse_equals_the_line_parser(text, expected_dim):
     assert (_parse_outcome(parse_embeddings, text, expected_dim)
             == _parse_outcome(seqio._parse_embedding_lines, text, expected_dim))

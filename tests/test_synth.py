@@ -25,7 +25,7 @@ from reidmot import cli, synth
 from reidmot.io import load_text
 from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS, MAX_SPEED
 
-from oracles import loop_reflect, loop_sample_bases
+from oracles import loop_reflect, loop_sample_bases, scan_dipped_score, scan_dropped
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -276,6 +276,38 @@ def test_reflection_equals_the_per_identity_loop(seed, count, width, height, ste
         pos, vel = synth._advance(pos, vel, np.array([max_x, max_y]))
         want = loop_reflect(*want, max_x, max_y)
         assert (pos.tobytes(), vel.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+
+@st.composite
+def windowed_specs(draw):
+    """Specs whose dip and dropout windows overlap, repeat, and start before
+    frame 1 or end past the last frame."""
+    num_frames, num_identities = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    window = st.tuples(st.integers(-6, 16), st.integers(0, 8), st.integers(1, num_identities))
+    dips = draw(st.lists(st.tuples(window, st.sampled_from([0.3, 0.45, 0.6, 0.8])),
+                         max_size=6))
+    windows = draw(st.lists(window, max_size=6))
+    return ScenarioSpec(
+        num_identities=num_identities, num_frames=num_frames,
+        score_dips=[(start, start + span, identity, score)
+                    for (start, span, identity), score in dips + dips[:1]],
+        dropout_windows=[(start, start + span, identity)
+                         for start, span, identity in windows + windows[:1]])
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(windowed_specs())
+@example(ScenarioSpec(num_identities=2, num_frames=10,
+                      score_dips=((3, 6, 1, 0.5), (5, 9, 1, 0.4), (-8, -2, 2, 0.6),
+                                  (-3, 2, 2, 0.7), (9, 30, 2, 0.35), (3, 6, 1, 0.45)),
+                      dropout_windows=((-5, -1, 1), (-1, 1, 2), (4, 5, 1), (4, 5, 1),
+                                       (5, 8, 1), (10, 12, 2), (11, 14, 1))))
+def test_score_and_dropout_tables_equal_the_window_scans(spec):
+    scores, hidden = synth._score_table(spec), synth._dropout_table(spec)
+    cells = [(f, i) for f in range(1, spec.num_frames + 1)
+             for i in range(1, spec.num_identities + 1)]
+    assert [scores[f, i] for f, i in cells] == [scan_dipped_score(spec, f, i) for f, i in cells]
+    assert [hidden[f, i] for f, i in cells] == [scan_dropped(spec, f, i) for f, i in cells]
 
 
 def _bench_run():

@@ -443,6 +443,15 @@ def test_step_raises_zero_norm_for_a_mean_that_cancels():
         tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, -e),)))
 
 
+def test_step_raises_for_a_founder_whose_norm_overflows():
+    # Embeddings are used as given; this one's finite entries overflow the
+    # norm, which would scale its feature to zeros.
+    tracker = Tracker()
+    with pytest.raises(ValueError, match="norm must be finite"):
+        tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, [1e200, 0.0]),)))
+    assert (tracker.tracks, tracker._last_frame) == ([], None)
+
+
 def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
     tracker = Tracker(TrackerConfig(high_thresh=0.0, low_thresh=0.0))
     with pytest.raises(ZeroWeightError):
@@ -518,8 +527,9 @@ def test_store_holds_the_rows_of_live_tracks_only():
     # fresh random appearances that never match again and are removed two
     # frames later. The store gives their slots back, so the slots it holds,
     # each tau + 1 rows, and the slots it ever used follow the live tracks,
-    # not every track ever founded. A step opens its founders' slots before
-    # its removed tracks give theirs back, so those count as live at once.
+    # not every track ever founded. A step opens its founders' slots after
+    # its removed tracks give theirs back, so no more slots are used than
+    # the most tracks live after a step.
     rng = np.random.default_rng(21)
     cfg = TrackerConfig(tau=3, max_lost_age=2, per_class=False)
     base = rng.normal(size=(3, 16))
@@ -530,7 +540,7 @@ def test_store_holds_the_rows_of_live_tracks_only():
                                   rng.normal(size=(4, 16))])
         tracker.step(FrameInput(frame=f, detections=tuple(
             det(f, 0.9, v / np.linalg.norm(v)) for v in vectors)))
-        most_live = max(most_live, len(tracker.live_tracks) + tracker.last_stats.removed)
+        most_live = max(most_live, len(tracker.live_tracks))
         used = max([used] + [t._slot + 1 for t in tracker.live_tracks])
         assert _open_slots(tracker._store) <= len(tracker.live_tracks)
     assert used <= most_live
