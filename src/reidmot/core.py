@@ -7,7 +7,7 @@ Each record's field rules live only in its type's __post_init__; the file
 parsers rely on them instead of repeating them.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
@@ -167,9 +167,6 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
-
-    def with_embedding(self, emb: np.ndarray) -> "Detection":
-        return replace(self, embedding=emb)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """MOT-style comma-separated text formats, plus non-maximum suppression.
 
 Three formats, one record per line, `#` starts a comment, blank lines are
-ignored, LF or CRLF both accepted. Malformed lines raise ParseError with the
-1-based line number; nothing is silently skipped. The parsers check only the
-layout of a line (field count, numeric text: every field of the two 9-field
-formats, through one row reader) and the embedding key; the field rules,
-non-finite numbers included, belong to the record types in `core`, whose
-ValueError the parsers re-raise as a ParseError for the line.
+ignored, LF or CRLF both accepted. Each parser takes the whole text of a
+file, one str, as load_text returns it. Malformed lines raise ParseError
+with the 1-based line number; nothing is silently skipped. The parsers check
+only the layout of a line (field count, numeric text: every field of the
+two 9-field formats, through one row reader) and the embedding key; the
+field rules, non-finite numbers included, belong to the record types in
+`core`, whose ValueError the parsers re-raise as a ParseError for the line.
 
     detections:  frame,-1,x,y,w,h,score,class,-1
     embeddings:  frame,index,v1,...,vd      (index = 0-based per-frame file order)
@@ -72,17 +73,13 @@ class SequenceBundle:
             object.__setattr__(self, "gt", tuple(self.gt))
 
 
-def _lines(source):
+def _lines(text: str):
     """Yield (line_no, stripped payload) for every non-blank, non-comment line."""
-    if isinstance(source, str):
-        raw = source.splitlines()
-    else:
-        raw = source
-    for line_no, line in enumerate(raw, start=1):
-        text = line.rstrip("\r\n").strip()
-        if not text or text.startswith("#"):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        yield line_no, text
+        yield line_no, line
 
 
 def _field_float(fields, idx, line_no, what) -> float:
@@ -106,15 +103,15 @@ _NINE_FIELDS = (("frame", _field_int), ("identity", _field_int), ("x", _field_fl
                 ("score", _field_float), ("class", _field_int), ("visibility", _field_float))
 
 
-def _nine_field_rows(source):
+def _nine_field_rows(text: str):
     """Yield (line_no, values) for every data line of a 9-field file.
 
     The values are the nine fields as numbers, int or float as _NINE_FIELDS
     reads them. A line without 9 fields raises ParseError, and so does the
     first field that is not a number of its kind, by its reader's message.
     """
-    for line_no, text in _lines(source):
-        fields = text.split(",")
+    for line_no, line in _lines(text):
+        fields = line.split(",")
         if len(fields) != 9:
             raise ParseError(line_no, f"expected 9 fields, got {len(fields)}")
         frame, identity, x, y, w, h, score, class_id, flag = fields
@@ -130,14 +127,14 @@ def _nine_field_rows(source):
         yield line_no, values
 
 
-def parse_detections(source) -> list[Detection]:
+def parse_detections(text: str) -> list[Detection]:
     """Parse a detection file; returns detections sorted by frame.
 
     Within a frame the original file order is preserved: that order is the
     0-based per-frame index used to join embeddings.
     """
     dets = []
-    for line_no, (frame, _, x, y, w, h, score, class_id, _) in _nine_field_rows(source):
+    for line_no, (frame, _, x, y, w, h, score, class_id, _) in _nine_field_rows(text):
         try:
             dets.append(Detection(frame=frame, bbox=BBox(x, y, w, h),
                                   score=score, class_id=class_id))
@@ -147,7 +144,7 @@ def parse_detections(source) -> list[Detection]:
     return dets
 
 
-def parse_embeddings(source, expected_dim: int | None = None) -> dict:
+def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
     """Parse an embedding file into {(frame, index): unit vector}.
 
     The dimension is fixed by `expected_dim` or, failing that, by the first
@@ -155,11 +152,10 @@ def parse_embeddings(source, expected_dim: int | None = None) -> dict:
     one columnar pass, whose vectors are row views of one block; anything
     else goes to the line parser, which holds every rule and error message.
     """
-    if isinstance(source, str):
-        emb = _parse_embedding_block(source, expected_dim)
-        if emb is not None:
-            return emb
-    return _parse_embedding_lines(source, expected_dim)
+    emb = _parse_embedding_block(text, expected_dim)
+    if emb is not None:
+        return emb
+    return _parse_embedding_lines(text, expected_dim)
 
 
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
@@ -243,12 +239,12 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
     return emb if len(emb) == len(block) else None  # a repeated key
 
 
-def _parse_embedding_lines(source, expected_dim: int | None) -> dict:
+def _parse_embedding_lines(text: str, expected_dim: int | None) -> dict:
     """parse_embeddings one line at a time: the rules and their messages."""
     emb = {}
     dim = expected_dim
-    for line_no, text in _lines(source):
-        fields = text.split(",")
+    for line_no, line in _lines(text):
+        fields = line.split(",")
         if len(fields) < 3:
             raise ParseError(line_no, f"expected at least 3 fields, got {len(fields)}")
         frame = _field_int(fields, 0, line_no, "frame")
@@ -290,7 +286,8 @@ def attach_embeddings(detections, embeddings) -> list[FrameInput]:
             key = (frame, index)
             if key not in embeddings:
                 raise MissingEmbeddingError(frame, index)
-            enriched.append(det.with_embedding(embeddings[key]))
+            enriched.append(Detection(det.frame, det.bbox, det.score, det.class_id,
+                                      embeddings[key]))
         frames.append(FrameInput(frame=frame, detections=tuple(enriched)))
     # Every detection used a distinct key, so any surplus key is an orphan.
     if len(embeddings) > sum(len(fi.detections) for fi in frames):
@@ -299,7 +296,7 @@ def attach_embeddings(detections, embeddings) -> list[FrameInput]:
     return frames
 
 
-def parse_gt(source) -> list[GtEntry]:
+def parse_gt(text: str) -> list[GtEntry]:
     """Parse ground truth (or a results file; the id column reads as identity).
 
     Entries come back sorted by (frame, identity); a repeated (frame,
@@ -307,7 +304,7 @@ def parse_gt(source) -> list[GtEntry]:
     """
     entries = []
     seen = set()
-    for line_no, (frame, identity, x, y, w, h, _, class_id, _) in _nine_field_rows(source):
+    for line_no, (frame, identity, x, y, w, h, _, class_id, _) in _nine_field_rows(text):
         try:
             entry = GtEntry(frame=frame, identity=identity,
                             bbox=BBox(x, y, w, h), class_id=class_id)

@@ -11,6 +11,7 @@ equal spec in, byte-equal scenario out.
 
 import os
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -71,12 +72,16 @@ class ScenarioSpec:
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
             raise ConfigError("min_identity_separation must be in [0, 2]")
-        if self.embed_noise_sigma < 0:
-            raise ConfigError("embed_noise_sigma must be >= 0")
-        if self.clutter_rate < 0:
-            raise ConfigError("clutter_rate must be >= 0")
+        if not (isfinite(self.embed_noise_sigma) and self.embed_noise_sigma >= 0):
+            raise ConfigError("embed_noise_sigma must be finite and >= 0")
+        if not (isfinite(self.clutter_rate) and self.clutter_rate >= 0):
+            raise ConfigError("clutter_rate must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.low_thresh < self.high_thresh <= 1.0):
             raise ConfigError("need 0 <= low_thresh < high_thresh <= 1")
+        if not all(isfinite(side) for side in self.arena):
+            raise ConfigError(f"arena sides must be finite, got {self.arena}")
         if min(self.arena) < BOX_SIZE + MAX_SPEED:
             raise ConfigError(
                 f"arena sides must be at least {BOX_SIZE + MAX_SPEED}px: the "

@@ -22,6 +22,7 @@ from .core import (
     TrackerConfig,
     TrackOutput,
     embedding_dim,
+    embedding_length,
     normalize_embedding,
 )
 from .errors import (
@@ -53,45 +54,34 @@ def weighted_feature(history, tau: int) -> np.ndarray:
     history is a sequence of (embedding, score) pairs, oldest first. Each
     embedding is weighted by its detection score (a confident sighting should
     pull the representation harder than a dubious one), the weighted mean is
-    renormalized to unit length. Raises ConfigError when tau < 1.
+    renormalized to unit length: _unit_means on the one window, the kernel
+    Tracker.step runs on every window, so the bits are a track's. Raises
+    ConfigError when tau < 1, EmptyHistoryError for an empty history,
+    DimensionMismatchError led by `history[i]: ` unless each embedding of the
+    window passes core.embedding_length at the first one's length, and the
+    errors of _unit_means.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
-    return _weighted_means([list(history)[-tau:]])[0]
-
-
-def _weighted_means(histories) -> list[np.ndarray]:
-    """weighted_feature of each whole history, by the tracker's own feature path.
-
-    The histories are written into a _HistoryStore one position at a time,
-    the way Tracker.step writes observations, each one's last observation
-    staged, and their features come from _HistoryStore.features, so they
-    have the bits a track with the same history gets. An empty history
-    raises EmptyHistoryError before anything is computed; a history whose
-    scores sum below ZERO_WEIGHT_EPS raises ZeroWeightError and a mean that
-    normalize_embedding would reject raises its error; when several
-    histories fail, the first failing one of the first failing batch raises.
-    """
-    histories = [list(history) for history in histories]
-    if any(len(history) == 0 for history in histories):
+    history = list(history)
+    if not history:
         raise EmptyHistoryError("cannot compute a feature from an empty history")
-    if not histories:
-        return []
-    lengths = np.array([len(history) for history in histories])
-    store = _HistoryStore(int(lengths.max()))
-    slots = store.open(len(histories))
-    for k in range(store.tau):
-        have = np.flatnonzero(lengths > k)
-        store.stage(slots[have], [histories[i][k][0] for i in have],
-                    [histories[i][k][1] for i in have])
-        store.advance(slots[lengths > k + 1])  # the last observation stays staged
-    return store.features(slots)
+    window = history[-tau:]
+    first = len(history) - len(window)
+    embs = [np.asarray(emb, dtype=np.float64) for emb, _ in window]
+    dim = None
+    for i, emb in enumerate(embs, start=first):
+        dim = embedding_length(emb.shape, dim, f"history[{i}]: ")
+    scores = np.array([score for _, score in window], dtype=np.float64)
+    return _unit_means(np.stack(embs)[None], scores[None])[0]
 
 
 def _unit_means(embs: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """The unit score-weighted means of an (m, n, d) block of m histories.
 
-    The batched matmuls give each row the same bits as the one-history forms
+    The one feature kernel: weighted_feature runs it on one window and
+    _HistoryStore.features on batches of the step's windows. The batched
+    matmuls give each row the same bits as the one-history forms
     `embs.T @ scores / total` and `np.linalg.norm`, whatever else is in the
     block; padding histories to a common length, `einsum` or `norm(axis=1)`
     would not. A history whose scores sum below ZERO_WEIGHT_EPS raises
@@ -248,8 +238,8 @@ class Track:
 
     `history` is the window of its last `tau` (embedding, score)
     observations, oldest first, read from the tracker's _HistoryStore (a
-    copy each time); `feature` is the score-weighted mean of that window
-    (see weighted_feature). Tracker.step is its whole lifecycle: it stages
+    copy each time); `feature` is weighted_feature of that window, bit for
+    bit, since both come from _unit_means. Tracker.step is its whole lifecycle: it stages
     the matched tracks' observations in the store, computes the features of
     every window the frame would leave in one batched pass (a founder's
     from its one observation), and only then records the matches, gives the
@@ -430,10 +420,10 @@ class Tracker:
         store.stage(slots, [det.embedding for _, det in matched],
                     [det.score for _, det in matched])
         features = store.features(slots)
+        founder_embs = np.array([det.embedding for det in founders], dtype=np.float64)
+        founder_scores = np.array([det.score for det in founders], dtype=np.float64)
         if founders:
-            embs = np.array([det.embedding for det in founders], dtype=np.float64)
-            scores = np.array([det.score for det in founders], dtype=np.float64)
-            features += list(_unit_means(embs[:, None, :], scores[:, None]))
+            features += list(_unit_means(founder_embs[:, None, :], founder_scores[:, None]))
         store.advance(slots)
         self._last_frame = frame
         self._dim = dim
@@ -446,7 +436,7 @@ class Tracker:
             stats.removed += remaining[i].state is TrackState.REMOVED
         # Founders open their slots after the removed tracks gave theirs back.
         fresh = store.open(len(founders))
-        store.stage(fresh, [det.embedding for det in founders], [det.score for det in founders])
+        store.stage(fresh, founder_embs, founder_scores)
         store.advance(fresh)
         new_tracks = []
         for slot, det in zip(fresh.tolist(), founders):

@@ -1,10 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: the assignment oracle is
-an exhaustive permutation search, the feature oracle is a plain-Python
-re-derivation with fsum accumulation, the tracker oracle is a per-track loop
-over those two, and the box-overlap oracles (IoU, CLEAR-MOT, IDF1, NMS) are
-the one-pair-at-a-time forms the package used before it built IoU matrices,
+an exhaustive permutation search, the feature oracles are a plain-Python
+re-derivation with fsum accumulation and the numpy forms of one history,
+which fix its bits, the tracker oracle is a per-track loop over the first
+feature oracle and the assignment oracle, and the box-overlap oracles
+(IoU, CLEAR-MOT, IDF1, NMS) are the one-pair-at-a-time forms the package
+used before it built IoU matrices,
 the embedding writer formats one component at a time, as the package did
 before it formatted each row with one template, and the identity-base
 sampler checks a candidate against one placed base at a time with np.dot,
@@ -73,6 +75,14 @@ def direct_weighted_feature(history, tau):
     ]
     norm = math.sqrt(math.fsum(v * v for v in mean))
     return [v / norm for v in mean]
+
+
+def one_history_numpy_feature(history):
+    """The feature by one history's own numpy forms, which fix its bits."""
+    embs = np.stack([e for e, _ in history])
+    scores = np.array([s for _, s in history], dtype=np.float64)
+    mean = embs.T @ scores / float(scores.sum())
+    return mean / float(np.linalg.norm(mean))
 
 
 def _stage_costs(tracks, dets, gate, per_class):

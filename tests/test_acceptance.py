@@ -24,6 +24,7 @@ from reidmot import (
     generate,
     idf1,
     solve_assignment,
+    weighted_feature,
 )
 from reidmot.assign import FORBIDDEN
 from reidmot.cli import main
@@ -38,7 +39,6 @@ from reidmot.io import (
     write_gt,
     write_results,
 )
-from reidmot.tracker import _weighted_means
 
 from oracles import brute_force_assignment, direct_weighted_feature
 
@@ -89,9 +89,9 @@ def test_criterion_2_weighted_feature_equivalence():
             emb /= np.linalg.norm(emb)
             history.append((emb, float(rng.uniform(0.05, 1.0))))
         histories.append(history)
-    features = _weighted_means(histories)
     worst = 0.0
-    for feature, history in zip(features, histories):
+    for history in histories:
+        feature = weighted_feature(history, tau)
         expected = np.array(direct_weighted_feature(history, tau))
         worst = max(worst, float(np.max(np.abs(feature - expected))))
     ok = worst <= 1e-9

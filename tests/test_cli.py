@@ -316,6 +316,13 @@ def test_orphan_embedding_exits_14(tmp_path, capsys):
         ("synth", "--dropout-window", "5:x:1"),
         ("synth", "--arena-width", "43.99"),
         ("synth", "--arena-height", "43.99"),
+        ("synth", "--clutter-rate", "nan"),
+        ("synth", "--clutter-rate", "inf"),
+        ("synth", "--embed-noise-sigma", "nan"),
+        ("synth", "--embed-noise-sigma", "inf"),
+        ("synth", "--seed", "-1"),
+        ("synth", "--arena-width", "nan"),
+        ("synth", "--arena-width", "inf"),
         ("track", "--nms-thresh", "2"),
         ("eval", "--iou-gate", "0"),
     ],

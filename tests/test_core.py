@@ -204,7 +204,7 @@ def test_detection_validation():
     with pytest.raises(ValueError):
         Detection(frame=1, bbox=box, score=0.5, class_id=-1)
     d = Detection(frame=1, bbox=box, score=0.5)
-    d2 = d.with_embedding(np.array([1.0, 0.0]))
+    d2 = Detection(d.frame, d.bbox, d.score, d.class_id, np.array([1.0, 0.0]))
     assert d2.embedding is not None and d.embedding is None
     # embedding is not part of equality
     assert d == d2

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -175,6 +176,16 @@ def test_spec_validation():
         ScenarioSpec(arena=(30.0, 100.0))
     with pytest.raises(ConfigError):
         ScenarioSpec(low_thresh=0.9, high_thresh=0.8)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="embed_noise_sigma must be finite"):
+            ScenarioSpec(embed_noise_sigma=bad)
+        with pytest.raises(ConfigError, match="clutter_rate must be finite"):
+            ScenarioSpec(clutter_rate=bad)
+        for arena in ((bad, 720.0), (1280.0, bad)):
+            with pytest.raises(ConfigError, match="arena sides must be finite"):
+                ScenarioSpec(arena=arena)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ScenarioSpec(seed=-1)
 
 
 def test_noise_free_bundle_tracks_perfectly():

@@ -27,10 +27,10 @@ from reidmot import (
 )
 
 from reidmot.io import write_embeddings
-from reidmot.tracker import FEATURE_BATCH, _weighted_means
+from reidmot.tracker import FEATURE_BATCH
 
 from bad_frames import BAD_FRAMES, writer_input
-from oracles import direct_weighted_feature, reference_tracker
+from oracles import direct_weighted_feature, one_history_numpy_feature, reference_tracker
 
 BOX = BBox(0, 0, 10, 10)
 
@@ -97,6 +97,22 @@ def test_weighted_feature_matches_oracle_on_random_histories():
         got = weighted_feature(history, tau)
         want = direct_weighted_feature(history, tau)
         assert np.max(np.abs(got - np.array(want))) < 1e-9
+        assert np.array_equal(got, one_history_numpy_feature(history[-tau:]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.empty(0), r"history\[2\]: embedding must be 1-D and non-empty, got shape \(0,\)"),
+    (np.array(1.0), r"history\[2\]: embedding must be 1-D and non-empty, got shape \(\)"),
+    (np.ones((1, 2)), r"history\[2\]: embedding must be 1-D and non-empty, got shape \(1, 2\)"),
+    (unit(1, 2, 2), r"history\[2\]: embedding has length 3, expected 2"),
+], ids=["empty", "0-d", "2-D", "mixed-length"])
+def test_weighted_feature_names_an_embedding_of_the_wrong_shape(bad, message):
+    # The window is history[1:]: the observation is named by its place in
+    # the history.
+    e = unit(3.0, 4.0)
+    history = [(e, 0.5), (e, 0.5), (bad, 0.5)]
+    with pytest.raises(DimensionMismatchError, match=message):
+        weighted_feature(history, tau=2)
 
 
 def test_track_stores_oracle_feature():
@@ -109,8 +125,8 @@ def test_track_stores_oracle_feature():
             e = rng.normal(size=16)
             history.append((e / np.linalg.norm(e), float(rng.uniform(0.05, 1.0))))
         histories.append(history)
-    features = _weighted_means(histories)
-    for feature, history in zip(features, histories):
+    for history in histories:
+        feature = weighted_feature(history, 30)
         want = direct_weighted_feature(history, 30)
         assert np.max(np.abs(feature - np.array(want))) < 1e-9
 
@@ -382,14 +398,6 @@ def test_feature_invariant_holds_after_every_step():
         for track in tracker.live_tracks:
             want = direct_weighted_feature(list(track.history), cfg.tau)
             assert np.max(np.abs(track.feature - np.array(want))) < 1e-9
-
-
-def one_history_numpy_feature(history):
-    """The feature by one history's own numpy forms, which fix its bits."""
-    embs = np.stack([e for e, _ in history])
-    scores = np.array([s for _, s in history], dtype=np.float64)
-    mean = embs.T @ scores / float(scores.sum())
-    return mean / float(np.linalg.norm(mean))
 
 
 def test_batched_features_equal_single_history_features_bit_for_bit():
