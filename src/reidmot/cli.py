@@ -176,13 +176,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_nms(args) -> int:
     dets = seqio.parse_detections(seqio.load_text(args.detections))
-    frames = list(group_by_frame(dets).values())
-    kept = []
-    # nms lists a frame's kept boxes by score; they are written in file
-    # order, the order by which embeddings join them.
-    for frame_dets, frame_kept in zip(frames, seqio.nms_frames(frames, args.nms_thresh)):
-        keep = {id(det) for det in frame_kept}
-        kept += [det for det in frame_dets if id(det) in keep]
+    kept_frames = seqio.nms_frames(group_by_frame(dets).values(), args.nms_thresh)
+    kept = [det for frame_kept in kept_frames for det in frame_kept]
     seqio.save_text(args.out, seqio.write_detections(kept))
     print(
         f"nms at iou {args.nms_thresh}: kept {len(kept)} of {len(dets)} detections",
@@ -217,27 +212,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable CSV instead of the aligned table")
     p_eval.set_defaults(func=_cmd_eval)
 
+    spec = synthmod.ScenarioSpec()
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario")
     p_synth.add_argument("out_dir", help="directory for det.txt, emb.txt, gt.txt")
-    p_synth.add_argument("--num-identities", type=int, default=5)
-    p_synth.add_argument("--num-frames", type=int, default=100)
-    p_synth.add_argument("--embedding-dim", type=int, default=16)
-    p_synth.add_argument("--embed-noise-sigma", type=float, default=0.0)
-    p_synth.add_argument("--min-separation", type=float, default=0.8)
-    p_synth.add_argument("--dropout-prob", type=float, default=0.0)
+    p_synth.add_argument("--num-identities", type=int, default=spec.num_identities)
+    p_synth.add_argument("--num-frames", type=int, default=spec.num_frames)
+    p_synth.add_argument("--embedding-dim", type=int, default=spec.embedding_dim)
+    p_synth.add_argument("--embed-noise-sigma", type=float, default=spec.embed_noise_sigma)
+    p_synth.add_argument("--min-separation", type=float, default=spec.min_identity_separation)
+    p_synth.add_argument("--dropout-prob", type=float, default=spec.dropout_prob)
     p_synth.add_argument("--score-dip", action="append", metavar="START:END:ID:SCORE",
                          help="dip an identity's score for a frame window; repeatable")
     p_synth.add_argument("--dropout-window", action="append", metavar="START:END:ID",
                          help="hide an identity entirely for a frame window; repeatable")
-    p_synth.add_argument("--clutter-rate", type=float, default=0.0,
+    p_synth.add_argument("--clutter-rate", type=float, default=spec.clutter_rate,
                          help="Poisson mean of clutter boxes per frame")
-    p_synth.add_argument("--arena-width", type=float, default=1280.0)
-    p_synth.add_argument("--arena-height", type=float, default=720.0)
-    p_synth.add_argument("--low-thresh", type=float, default=0.3,
+    p_synth.add_argument("--arena-width", type=float, default=spec.arena[0])
+    p_synth.add_argument("--arena-height", type=float, default=spec.arena[1])
+    p_synth.add_argument("--low-thresh", type=float, default=spec.low_thresh,
                          help="low band floor used for clutter/dip scores")
-    p_synth.add_argument("--high-thresh", type=float, default=0.84,
+    p_synth.add_argument("--high-thresh", type=float, default=spec.high_thresh,
                          help="high band floor used for clutter/dip scores")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=spec.seed)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_nms = sub.add_parser("nms", help="suppress overlapping detections per frame")

@@ -470,8 +470,8 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     order first); a candidate is kept iff its IoU with every already-kept box
     of the same class is <= iou_thresh, so keeping a box suppresses every box
     of its class that overlaps it by more. The frame's IoU matrix is built
-    once. Returns kept detections in visit order, so the result is
-    score-sorted.
+    once. NMS drops boxes and never reorders them: the kept detections are
+    returned in their input order.
     """
     _check_iou_thresh(iou_thresh)
     boxes = [d.bbox for d in detections]
@@ -479,12 +479,12 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     # overlaps[i, j]: keeping i suppresses j
     overlaps = (iou_matrix(boxes, boxes) > iou_thresh) & (classes[:, None] == classes)
     suppressed = np.zeros(len(detections), dtype=bool)
-    kept: list[Detection] = []
+    keep = [False] * len(detections)
     for i in sorted(range(len(detections)), key=lambda i: -detections[i].score):
         if not suppressed[i]:
-            kept.append(detections[i])
+            keep[i] = True
             suppressed |= overlaps[i]
-    return kept
+    return [d for d, k in zip(detections, keep) if k]
 
 
 def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:

@@ -25,6 +25,10 @@ BOX_SIZE = 40.0
 # a wall always lands inside.
 MAX_SPEED = 4.0
 BASE_SCORE = 0.95
+# Generator.poisson raises for a mean above about 9.2234e18.
+MAX_CLUTTER_RATE = 1e18
+# Keeps a noisy component's square far below float64's 1.8e308: norms stay finite.
+MAX_EMBED_NOISE_SIGMA = 1e100
 MAX_SAMPLING_ATTEMPTS = 100_000
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
@@ -72,10 +76,11 @@ class ScenarioSpec:
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
             raise ConfigError("min_identity_separation must be in [0, 2]")
-        if not (isfinite(self.embed_noise_sigma) and self.embed_noise_sigma >= 0):
-            raise ConfigError("embed_noise_sigma must be finite and >= 0")
-        if not (isfinite(self.clutter_rate) and self.clutter_rate >= 0):
-            raise ConfigError("clutter_rate must be finite and >= 0")
+        if not (0.0 <= self.embed_noise_sigma <= MAX_EMBED_NOISE_SIGMA):
+            raise ConfigError("embed_noise_sigma must be finite and in "
+                              f"[0, {MAX_EMBED_NOISE_SIGMA:g}]")
+        if not (0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE):
+            raise ConfigError(f"clutter_rate must be finite and in [0, {MAX_CLUTTER_RATE:g}]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.low_thresh < self.high_thresh <= 1.0):

@@ -394,9 +394,10 @@ class Tracker:
         remaining = [live[i] for i in res1.unmatched_rows]
         unmatched_high = [high[j] for j in res1.unmatched_cols]
 
-        # Stage 2: the leftovers. Pooling the unmatched confident detections
-        # with the low band gives them a second chance under the looser gate.
-        pool = list(low) if cfg.bytetrack_stage2 else unmatched_high + list(low)
+        # Stage 2: the leftovers. Carried unmatched confident detections get a
+        # second chance under the looser gate; bytetrack_stage2 carries none.
+        carried = [] if cfg.bytetrack_stage2 else unmatched_high
+        pool = carried + list(low)
         res2 = solve_assignment(
             gate_costs(build_cost_matrix(remaining, pool, cfg.per_class),
                        1.0 - cfg.sim_gate_low)
@@ -404,12 +405,9 @@ class Tracker:
         matched += [(remaining[i], pool[j]) for i, j in res2.matches]
 
         # Founding: only confident leftovers above the init floor. The low
-        # band can sustain tracks but never create them. Without
-        # bytetrack_stage2 the confident leftovers head the pool.
-        if cfg.bytetrack_stage2:
-            leftovers = unmatched_high
-        else:
-            leftovers = [pool[j] for j in res2.unmatched_cols if j < len(unmatched_high)]
+        # band can sustain tracks but never create them.
+        leftovers = (unmatched_high[len(carried):]
+                     + [pool[j] for j in res2.unmatched_cols if j < len(carried)])
         founders = [det for det in leftovers if det.score >= cfg.min_init_score]
 
         # The features of the windows this frame would leave, computed before

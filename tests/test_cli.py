@@ -1,12 +1,13 @@
 """End-to-end command tests, run in process through main(argv)."""
 
+import itertools
 import pathlib
 from dataclasses import fields
 
 import pytest
 
 import reidmot.io as seqio
-from reidmot import TrackerConfig
+from reidmot import ScenarioSpec, TrackerConfig, export, generate
 from reidmot.cli import _config_from_args, build_parser, main
 from reidmot.io import load_text, parse_detections, parse_gt
 
@@ -238,6 +239,41 @@ def test_nms_that_drops_a_box_leaves_an_orphan_embedding(tmp_path, capsys):
     assert "frame 1, index 1" in capsys.readouterr().err
 
 
+def test_nms_then_track_equals_track_with_nms(tmp_path, capsys):
+    # Frame 1: a 0.9 box at x=0, a 0.95 box at x=50 and a suppressed 0.85
+    # box at x=1; frame 2 repeats the first two. Both routes must hand the
+    # tracker the kept boxes in file order, so the 0.9 box founds track 1.
+    det = tmp_path / "det.txt"
+    emb = tmp_path / "emb.txt"
+    det.write_text("1,-1,0,0,10,10,0.9,0,-1\n1,-1,50,0,10,10,0.95,0,-1\n"
+                   "1,-1,1,0,10,10,0.85,0,-1\n"
+                   "2,-1,0,0,10,10,0.9,0,-1\n2,-1,50,0,10,10,0.95,0,-1\n")
+    emb.write_text("1,0,1,0\n1,1,0,1\n1,2,1,0\n2,0,1,0\n2,1,0,1\n")
+    direct = tmp_path / "direct.txt"
+    assert main(["track", str(det), str(emb), str(direct), "--nms-thresh", "0.5"]) == 0
+
+    kept = tmp_path / "kept.txt"
+    assert main(["nms", str(det), str(kept), "--nms-thresh", "0.5"]) == 0
+    # Keep the embedding of each surviving box (the two files list the same
+    # boxes line for line), re-indexed within its frame.
+    kept_dets = parse_detections(load_text(kept))
+    survivors = [line.split(",", 2) for line, d in zip(emb.read_text().splitlines(),
+                                                       parse_detections(load_text(det)))
+                 if d in kept_dets]
+    rows = []
+    for frame, group in itertools.groupby(survivors, key=lambda row: row[0]):
+        rows += [f"{frame},{index},{vec}\n" for index, (_, _, vec) in enumerate(group)]
+    kept_emb = tmp_path / "kept_emb.txt"
+    kept_emb.write_text("".join(rows))
+    via_nms = tmp_path / "via_nms.txt"
+    assert main(["track", str(kept), str(kept_emb), str(via_nms)]) == 0
+    capsys.readouterr()
+
+    assert via_nms.read_bytes() == direct.read_bytes()
+    first = [e for e in parse_gt(load_text(direct)) if e.identity == 1]
+    assert [e.bbox.x for e in first] == [0.0, 0.0]
+
+
 def test_track_accepts_nms_and_stage2_flags(tmp_path, capsys):
     det, emb, gt = _synth(tmp_path)
     results = tmp_path / "results.txt"
@@ -320,6 +356,8 @@ def test_orphan_embedding_exits_14(tmp_path, capsys):
         ("synth", "--clutter-rate", "inf"),
         ("synth", "--embed-noise-sigma", "nan"),
         ("synth", "--embed-noise-sigma", "inf"),
+        ("synth", "--embed-noise-sigma", "1e300"),
+        ("synth", "--clutter-rate", "1e300"),
         ("synth", "--seed", "-1"),
         ("synth", "--arena-width", "nan"),
         ("synth", "--arena-width", "inf"),
@@ -375,6 +413,15 @@ def test_embedding_file_errors_name_their_line(tmp_path, capsys, embeddings, cod
     rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt")])
     assert rc == code
     assert capsys.readouterr().err == message
+
+
+def test_default_synth_flags_give_the_default_spec(tmp_path, capsys):
+    assert main(["synth", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    export(generate(ScenarioSpec()), tmp_path / "spec")
+    for name in ("det.txt", "emb.txt", "gt.txt"):
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "spec" / name).read_bytes()
 
 
 def _track_config(*flags):

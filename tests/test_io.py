@@ -439,10 +439,10 @@ def test_nms_chain_keeps_first_and_third():
     assert kept == [a, c]
 
 
-def test_nms_keeps_order_by_score():
+def test_nms_keeps_file_order():
     dets = [_d(100, 0.5), _d(0, 0.9), _d(200, 0.7)]
     kept = nms(dets, 0.5)
-    assert [k.score for k in kept] == [0.9, 0.7, 0.5]
+    assert [k.score for k in kept] == [0.5, 0.9, 0.7]
 
 
 def test_nms_score_tie_prefers_earlier_index():
@@ -590,8 +590,11 @@ nms_frames_strategy = st.lists(
 @given(nms_frames_strategy, st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]),
                                       st.floats(0.0, 1.0)))
 def test_nms_equals_greedy_reference(dets, thresh):
+    # The reference lists what it keeps by score; nms keeps the same boxes
+    # in input order.
+    reference = {id(d) for d in greedy_nms(dets, thresh)}
     kept = nms(dets, thresh)
-    assert [id(d) for d in kept] == [id(d) for d in greedy_nms(dets, thresh)]
+    assert [id(d) for d in kept] == [id(d) for d in dets if id(d) in reference]
 
 
 # Key and component texts the two embedding parsers might read differently:

@@ -24,7 +24,14 @@ from reidmot import (
 )
 from reidmot import cli, synth
 from reidmot.io import load_text
-from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS, MAX_SPEED
+from reidmot.synth import (
+    BASE_SCORE,
+    BOX_SIZE,
+    MAX_CLUTTER_RATE,
+    MAX_EMBED_NOISE_SIGMA,
+    MAX_SAMPLING_ATTEMPTS,
+    MAX_SPEED,
+)
 
 from oracles import loop_reflect, loop_sample_bases, scan_dipped_score, scan_dropped
 
@@ -186,6 +193,12 @@ def test_spec_validation():
                 ScenarioSpec(arena=arena)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         ScenarioSpec(seed=-1)
+    # Past these, numpy's Poisson draw raises and a noisy norm overflows.
+    with pytest.raises(ConfigError, match="clutter_rate must be"):
+        ScenarioSpec(clutter_rate=1e300)
+    with pytest.raises(ConfigError, match="embed_noise_sigma must be"):
+        ScenarioSpec(embed_noise_sigma=1e300)
+    ScenarioSpec(clutter_rate=MAX_CLUTTER_RATE, embed_noise_sigma=MAX_EMBED_NOISE_SIGMA)
 
 
 def test_noise_free_bundle_tracks_perfectly():
