@@ -138,6 +138,22 @@ def normalize_embedding(raw, dim: int | None = None) -> np.ndarray:
     return arr / norm
 
 
+def unit_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of a 2-D float64 array divided by its L2 norm (into `out`, if given).
+
+    The row-matmul norm has the bits of np.linalg.norm on each row, whatever
+    else is in the array, so a row comes out as normalize_embedding scales
+    it; norm(axis=1) or einsum would not. A zero, tiny or non-finite norm,
+    one that overflowed to inf included, goes to normalize_embedding, which
+    raises its error for the first such row before anything is written.
+    """
+    with np.errstate(over="ignore"):  # an overflowed norm raises below
+        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    for k in np.flatnonzero(~(np.isfinite(norms) & (norms >= ZERO_NORM_EPS))):
+        normalize_embedding(rows[k])
+    return np.divide(rows, norms[:, None], out=out)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two unit vectors, clamped to [-1, 1] against float drift."""
     if a.shape != b.shape:
@@ -257,6 +273,11 @@ class BoxTable:
                    _exact_column([r.class_id for r in records]))
 
 
+# Largest history window. The tracker's store keeps tau + 1 scores and
+# tau + 1 embedding rows per live track, so its memory grows with tau.
+MAX_TAU = 10_000
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Tracker tuning knobs.
@@ -285,8 +306,8 @@ class TrackerConfig:
                 "need 0 <= low_thresh <= high_thresh <= 1, got "
                 f"low={self.low_thresh} high={self.high_thresh}"
             )
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        if not 1 <= self.tau <= MAX_TAU:
+            raise ConfigError(f"tau must be in [1, {MAX_TAU}], got {self.tau}")
         if self.max_lost_age < 0:
             raise ConfigError(f"max_lost_age must be >= 0, got {self.max_lost_age}")
         for name in ("sim_gate_high", "sim_gate_low"):

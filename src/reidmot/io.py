@@ -20,14 +20,15 @@ written with 6-decimal components: one numpy kernel formats every row whose
 ",".join(["%.6f"] * d), formats the rest, so both give the same bytes.
 
 Embedding texts, and the gt/results texts `reidmot eval` scores, are first
-read in one columnar np.loadtxt pass (_loadtxt, which drops blank and comment
-lines by the line parsers' rule). Anything unusual goes to the line parser,
-the one home of the rules and their line-numbered messages, so both paths
-give the same values and the same errors. For embeddings that is
-_parse_embedding_lines, which also names the line of a wrong length or a
-zero vector (DimensionMismatchError, ZeroNormError); for gt/results it is
-parse_gt, whose entries then become the same frame-sorted BoxTable
-(_parse_box_table) that a clean text gives, with no record built per row.
+read in one columnar np.loadtxt pass (_loadtxt) over the lines _lines keeps,
+the one rule for which lines are data; nothing is retried. Anything unusual
+goes to the line parser, the one home of the rules and their line-numbered
+messages, so both paths give the same values and the same errors. For
+embeddings that is _parse_embedding_lines, which also names the line of a
+wrong length or a zero vector (DimensionMismatchError, ZeroNormError); for
+gt/results it is parse_gt, whose entries then become the same frame-sorted
+BoxTable (_parse_box_table) that a clean text gives, with no record built
+per row.
 """
 
 import os
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ZERO_NORM_EPS,
     BBox,
     BoxTable,
     Detection,
@@ -47,6 +47,7 @@ from .core import (
     group_by_frame,
     iou_matrix,
     normalize_embedding,
+    unit_rows,
 )
 from .errors import (
     ConfigError,
@@ -161,33 +162,15 @@ def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
     """The data lines of `text` in one np.loadtxt pass, or None to defer.
 
-    Blank, whitespace-only and comment lines are dropped by _lines' rule.
-    When the text has a `#` or an empty line that is done first; otherwise
-    the lines go to loadtxt as they are, and only if it refuses them and
-    the rule drops a line (one of spaces, say) is the pass retried once on
-    the kept lines. So a clean text pays no per-line check.
-    `row_dtype(first data line)` gives the structured dtype of a row, or
-    None to defer. Text loadtxt does not take or warns about (a wrong field
-    count, a ragged row, a number int()/float() would read differently)
-    also defers. A caller that defers re-reads the original text with its
-    line parser, so the messages keep their line numbers.
+    The lines are the ones _lines keeps, stripped, so blank, whitespace-only
+    and comment lines never reach loadtxt, and there is one pass with no
+    retry. `row_dtype(first data line)` gives the structured dtype of a row,
+    or None to defer. Text loadtxt does not take or warns about (a wrong
+    field count, a ragged row, a number int()/float() would read
+    differently) also defers. A caller that defers re-reads the original
+    text with its line parser, so the messages keep their line numbers.
     """
-    lines = text.splitlines()
-    if "#" in text or "" in lines:
-        return _loadtxt_lines(_data_lines(lines), row_dtype)
-    block = _loadtxt_lines(lines, row_dtype)
-    if block is None and len(kept := _data_lines(lines)) < len(lines):
-        block = _loadtxt_lines(kept, row_dtype)
-    return block
-
-
-def _data_lines(lines: list[str]) -> list[str]:
-    """The lines _lines keeps: not blank, not whitespace only, not a comment."""
-    return [line for line in lines if (kept := line.strip()) and not kept.startswith("#")]
-
-
-def _loadtxt_lines(lines: list[str], row_dtype) -> np.ndarray | None:
-    """np.loadtxt of data lines into rows of `row_dtype`, or None to defer."""
+    lines = [line for _, line in _lines(text)]
     dtype = row_dtype(lines[0]) if lines else None  # loadtxt warns on no lines
     if dtype is None:
         return None
@@ -206,15 +189,14 @@ def _loadtxt_lines(lines: list[str], row_dtype) -> np.ndarray | None:
 
 
 def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
-    """The whole text read by _loadtxt, or None to defer to the line parser.
+    """The data lines read by _loadtxt's one pass, or None to defer.
 
     Returns None for anything the line parser might reject or read
     differently: whatever _loadtxt defers, a key out of range or repeated,
-    a wrong dimension, a non-finite component, or a norm that
-    normalize_embedding would reject (zero, tiny or overflowed). The vectors
-    are row views of the loadtxt block, normalized in place: a contiguous
-    copy would raise the peak RSS by the block's size. The row-matmul norm has
-    the bits of np.linalg.norm on each row; norm(axis=1) does not.
+    a wrong dimension, or a row core.unit_rows rejects (a non-finite
+    component, a zero, tiny or overflowed norm). The vectors are row views
+    of the loadtxt block, normalized in place: a contiguous copy would raise
+    the peak RSS by the block's size.
     """
     def row_dtype(first_line):
         dim = first_line.count(",") - 1
@@ -228,13 +210,10 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
     keys, vecs = block["key"], block["vec"]
     if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
         return None
-    # A non-finite component makes its row's norm non-finite, and so does
-    # an overflow: the line parser reports either.
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
-    if not (np.isfinite(norms) & (norms >= ZERO_NORM_EPS)).all():
+    try:
+        unit_rows(vecs, out=vecs)
+    except (ValueError, ZeroNormError):  # the line parser names the line
         return None
-    vecs /= norms[:, None]
     emb = {(frame, index): vec for (frame, index), vec in zip(keys.tolist(), vecs)}
     return emb if len(emb) == len(block) else None  # a repeated key
 
@@ -327,12 +306,12 @@ _BOX_ROW = np.dtype([("key", np.int64, (2,)), ("box", np.float64, (4,)), ("score
 def _parse_box_table(text: str) -> BoxTable:
     """parse_gt as a BoxTable sorted by (frame, id), with the same errors.
 
-    A clean text is read by _loadtxt into columns and checked as a whole;
-    anything parse_gt might reject or read differently (no rows, an
-    identity or frame below 1, a class below 0, a non-finite box, a side
-    of 0 or less, a repeated (frame, id)) defers to parse_gt, the one home
-    of the field rules and the line-numbered messages, whose entries then
-    become the table.
+    The data lines are read by _loadtxt's one pass into columns and
+    checked as a whole; anything parse_gt might reject or read differently
+    (no rows, an identity or frame below 1, a class below 0, a non-finite
+    box, a side of 0 or less, a repeated (frame, id)) defers to parse_gt,
+    the one home of the field rules and the line-numbered messages, whose
+    entries then become the table.
     """
     block = _loadtxt(text, lambda first_line: _BOX_ROW)
     if block is not None:

@@ -16,14 +16,13 @@ import numpy as np
 
 from .assign import FORBIDDEN, gate_costs, solve_assignment
 from .core import (
-    ZERO_NORM_EPS,
     Detection,
     FrameInput,
     TrackerConfig,
     TrackOutput,
     embedding_dim,
     embedding_length,
-    normalize_embedding,
+    unit_rows,
 )
 from .errors import (
     ConfigError,
@@ -81,25 +80,19 @@ def _unit_means(embs: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
     The one feature kernel: weighted_feature runs it on one window and
     _HistoryStore.features on batches of the step's windows. The batched
-    matmuls give each row the same bits as the one-history forms
-    `embs.T @ scores / total` and `np.linalg.norm`, whatever else is in the
-    block; padding histories to a common length, `einsum` or `norm(axis=1)`
-    would not. A history whose scores sum below ZERO_WEIGHT_EPS raises
-    ZeroWeightError, a mean that normalize_embedding would reject raises its
-    error, the first such row raising.
+    matmul gives each row the same bits as the one-history form
+    `embs.T @ scores / total`, whatever else is in the block; padding
+    histories to a common length or `einsum` would not. core.unit_rows
+    scales the means. A history whose scores sum below ZERO_WEIGHT_EPS
+    raises ZeroWeightError, a mean that normalize_embedding would reject
+    raises its error, the first such row raising.
     """
     totals = scores.sum(axis=1)
     light = np.flatnonzero(totals < ZERO_WEIGHT_EPS)
     if light.size:
         raise ZeroWeightError(f"history scores sum to {float(totals[light[0]])!r}")
     means = np.matmul(scores[:, None, :], embs)[:, 0, :] / totals[:, None]
-    with np.errstate(over="ignore"):  # an overflowed norm raises below
-        norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
-    # A zero, tiny or non-finite norm, one that overflowed to inf included,
-    # goes to normalize_embedding, which raises for it.
-    for k in np.flatnonzero(~(np.isfinite(norms) & (norms >= ZERO_NORM_EPS))):
-        normalize_embedding(means[k])
-    return means / norms[:, None]
+    return unit_rows(means)
 
 
 class _HistoryStore:

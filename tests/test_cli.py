@@ -163,10 +163,13 @@ def test_eval_reads_written_files_without_the_line_parser(tmp_path, capsys, monk
 
 def test_bad_tracker_config_exits_11(tmp_path, capsys):
     det, emb, _ = _synth(tmp_path)
-    rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt"),
-               "--tau", "0"])
-    assert rc == 11
-    assert "tau" in capsys.readouterr().err
+    # A tau past core.MAX_TAU is refused before any store is opened: this one
+    # would ask numpy for a score array of 8e12 floats.
+    for tau in ("0", "1000000000000"):
+        rc = main(["track", str(det), str(emb), str(tmp_path / "out.txt"),
+                   "--tau", tau])
+        assert rc == 11
+        assert "tau" in capsys.readouterr().err
 
 
 def test_infeasible_separation_exits_10(tmp_path, capsys):

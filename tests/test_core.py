@@ -16,7 +16,7 @@ from reidmot import (
     iou,
     normalize_embedding,
 )
-from reidmot.core import iou_matrix
+from reidmot.core import MAX_TAU, iou_matrix
 
 from oracles import scalar_iou
 
@@ -236,6 +236,9 @@ def test_config_validation():
         TrackerConfig(high_thresh=1.2)
     with pytest.raises(ConfigError):
         TrackerConfig(tau=0)
+    with pytest.raises(ConfigError, match=f"tau must be in \\[1, {MAX_TAU}\\]"):
+        TrackerConfig(tau=MAX_TAU + 1)
+    assert TrackerConfig(tau=MAX_TAU).tau == MAX_TAU
     with pytest.raises(ConfigError):
         TrackerConfig(max_lost_age=-1)
     with pytest.raises(ConfigError):

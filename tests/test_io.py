@@ -223,10 +223,13 @@ def test_box_table_of_a_clean_file_skips_the_line_parser(text, monkeypatch):
     "\t\n" + CLEAN_EMBEDDINGS,
     CLEAN_EMBEDDINGS.replace("\n", "\n \t \n", 1),
     CLEAN_EMBEDDINGS.replace("\n", "\r\n") + "  \r\n",
-], ids=["trailing-spaces", "leading-tab", "inner-mixed", "crlf-trailing-spaces"])
+    "# made by hand\n" + "".join(f" {line}\t\n" for line in CLEAN_EMBEDDINGS.splitlines()),
+], ids=["trailing-spaces", "leading-tab", "inner-mixed", "crlf-trailing-spaces",
+        "comment-and-padded-lines"])
 def test_whitespace_only_lines_keep_the_columnar_embedding_path(text, monkeypatch):
-    # No `#` and no empty line: loadtxt refuses the first pass, and the
-    # retry on the lines _lines keeps takes the file.
+    # _loadtxt reads the lines _lines keeps, stripped, in its one pass: a
+    # line of only whitespace never reaches loadtxt, and neither does the
+    # padding of a data line.
     want = parse_embeddings(CLEAN_EMBEDDINGS)
 
     def no_line_parser(*args):
@@ -242,7 +245,9 @@ def test_whitespace_only_lines_keep_the_columnar_embedding_path(text, monkeypatc
     CLEAN_BOXES + " \t\n",
     "   \n" + CLEAN_BOXES,
     CLEAN_BOXES.replace("\n", "\r\n\t\r\n", 1),
-], ids=["trailing-space-tab", "leading-spaces", "crlf-inner-tab"])
+    "# frame,id,x,y,w,h,score,class,flag\n"
+    + "".join(f"\t{line}  \n" for line in CLEAN_BOXES.splitlines()),
+], ids=["trailing-space-tab", "leading-spaces", "crlf-inner-tab", "comment-and-padded-lines"])
 def test_whitespace_only_lines_keep_the_columnar_box_path(text, monkeypatch):
     want = seqio._parse_box_table(CLEAN_BOXES)
 
@@ -607,6 +612,10 @@ VALUE_TEXTS = ["0", "-0.0", "0.6", "0.8", "nan", "-nan", "inf", "-Infinity",
                "1d5", ".5", "5.", "１", ""]
 
 
+# (leading, trailing) whitespace a data line may carry; _lines strips it.
+EDGE_PADS = [("\t", ""), ("", " "), (" ", "\t"), ("  ", "  ")]
+
+
 @st.composite
 def embedding_files(draw):
     """Rows like "1,0,0.6,0.8", some clean and some mutated, with blank and
@@ -624,8 +633,11 @@ def embedding_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(rows) - 1))
         fields = rows[at].split(",")
-        kind = draw(st.sampled_from(["key", "value", "zero", "short", "ragged", "extra"]))
-        if kind in ("key", "value"):
+        kind = draw(st.sampled_from(["key", "value", "zero", "short", "ragged", "extra", "pad"]))
+        if kind == "pad":  # edge whitespace of the whole line
+            lead, trail = draw(st.sampled_from(EDGE_PADS))
+            fields[0], fields[-1] = lead + fields[0], fields[-1] + trail
+        elif kind in ("key", "value"):
             col, text = draw(key_edit if kind == "key" else value_edit)
             if col < len(fields):  # an earlier "short" or "ragged" edit may have cut it
                 fields[col] = text

@@ -307,6 +307,8 @@ INT_TEXTS = ["0", "1", "2", "-1", "+1", " 1", "0001", "1_0", "1.0", "1e0", "0x1"
              "9223372036854775808", "99999999999999999999", ""]
 REAL_TEXTS = ["0", "-0.0", "-2", "2", "+1", " 3", "1_0", "0x1", "１", "1d5", ".5",
               "inf", "-inf", "nan", "1e400", "1e-400", ""]
+# (leading, trailing) whitespace a data line may carry; both parsers strip it.
+EDGE_PADS = [("\t", ""), ("", " "), (" ", "\t"), ("  ", "  ")]
 # (column, text) of a number parse_gt reads but its record types reject.
 OUT_OF_RANGE = [(0, "0"), (0, "-1"), (1, "0"), (1, "-2"), (4, "0"), (4, "-2"),
                 (5, "-0.0"), (5, "1e-400"), (7, "-1")]
@@ -326,8 +328,12 @@ def box_files(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3])) if rows else 0):
         at = draw(st.integers(0, len(rows) - 1))
         fields = rows[at].split(",")
-        kind = draw(st.sampled_from(["field", "field", "range", "range", "repeat", "short", "long"]))
-        if kind == "field":
+        kind = draw(st.sampled_from(["field", "field", "range", "range", "repeat", "short", "long",
+                                     "pad"]))
+        if kind == "pad":  # edge whitespace of the whole line
+            lead, trail = draw(st.sampled_from(EDGE_PADS))
+            fields[0], fields[-1] = lead + fields[0], fields[-1] + trail
+        elif kind == "field":
             col = draw(st.integers(0, len(fields) - 1))
             fields[col] = draw(st.sampled_from(INT_TEXTS if col in (0, 1, 7) else REAL_TEXTS))
         elif kind == "range":
