@@ -29,7 +29,13 @@ BASE_SCORE = 0.95
 MAX_CLUTTER_RATE = 1e18
 # Keeps a noisy component's square far below float64's 1.8e308: norms stay finite.
 MAX_EMBED_NOISE_SIGMA = 1e100
+# An attempt places at most one identity, so this also bounds num_identities.
 MAX_SAMPLING_ATTEMPTS = 100_000
+# The score and dropout tables hold (num_frames + 1) * (num_identities + 1)
+# cells; this keeps a one-identity scenario's tables near 20 MB.
+MAX_FRAMES = 1_000_000
+# Far above the 128 to 2048 dimensions of re-ID embeddings.
+MAX_EMBEDDING_DIM = 4096
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
 _SIMILARITY_SLACK = 1e-12
@@ -66,12 +72,12 @@ class ScenarioSpec:
         object.__setattr__(
             self, "dropout_windows", tuple(tuple(w) for w in self.dropout_windows)
         )
-        if self.num_identities < 0:
-            raise ConfigError("num_identities must be >= 0")
-        if self.num_frames < 0:
-            raise ConfigError("num_frames must be >= 0")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
+        if not (0 <= self.num_identities <= MAX_SAMPLING_ATTEMPTS):
+            raise ConfigError(f"num_identities must be in [0, {MAX_SAMPLING_ATTEMPTS}]")
+        if not (0 <= self.num_frames <= MAX_FRAMES):
+            raise ConfigError(f"num_frames must be in [0, {MAX_FRAMES}]")
+        if not (1 <= self.embedding_dim <= MAX_EMBEDDING_DIM):
+            raise ConfigError(f"embedding_dim must be in [1, {MAX_EMBEDDING_DIM}]")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
@@ -120,8 +126,7 @@ def _sample_bases(rng, spec) -> np.ndarray:
     with np.dot, the test the bases were always held to.
     """
     max_sim = 1.0 - spec.min_identity_separation
-    # An attempt places at most one base, so more rows are never filled.
-    bases = np.empty((min(spec.num_identities, MAX_SAMPLING_ATTEMPTS), spec.embedding_dim))
+    bases = np.empty((spec.num_identities, spec.embedding_dim))
     placed = attempts = 0
     while placed < spec.num_identities:
         attempts += 1

@@ -11,12 +11,12 @@ detections can keep an existing track alive but never start a new one.
 import enum
 import mmap
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .assign import FORBIDDEN, gate_costs, solve_assignment
 from .core import (
-    Detection,
     FrameInput,
     TrackerConfig,
     TrackOutput,
@@ -96,19 +96,22 @@ def _unit_means(embs: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 class _HistoryStore:
-    """The recent observations of many tracks, in a few arrays.
+    """The state of many tracks, one slot per track, in a few arrays.
 
-    Each track owns a slot: a block of tau + 1 positions in one
-    (S, tau + 1, d) pool of embeddings, the matching tau + 1 scores, and
-    the count of observations the slot has taken. Observation k sits at
-    position k % (tau + 1) of its slot, so the window of the last
-    min(count, tau) observations leaves one spare position, count % (tau + 1):
-    stage writes a new observation there without changing the window,
-    features reads the window that observation would leave, and advance
-    makes it part of the window. A released slot is reused before a new
-    one is taken, so the store writes to no more slots than were ever open
-    at once. No view of the pool leaves the store: history and features
-    return copies, which lets the pool be resized in place.
+    Per slot: the track's id, class id, frames since its last match
+    (`since`), the detection it last matched (`seen`), its feature (a row
+    of the (S, d) `feat` matrix) and its recent observations: a block of
+    tau + 1 positions in one (S, tau + 1, d) pool of embeddings, the
+    matching tau + 1 scores, and the count of observations the slot has
+    taken. Observation k sits at position k % (tau + 1) of its slot, so the
+    window of the last min(count, tau) observations leaves one spare
+    position, count % (tau + 1): stage writes a new observation there
+    without changing the window, features reads the window that
+    observation would leave, and advance makes it part of the window and
+    records its feature and detection. A released slot is reused before a
+    new one is taken, so the store writes to no more slots than were ever
+    open at once. No view of the pool leaves the store: history and
+    features return copies, which lets the pool be resized in place.
     """
 
     def __init__(self, tau: int):
@@ -117,35 +120,58 @@ class _HistoryStore:
         self._map: mmap.mmap | None = None
         self._scores = np.empty((0, tau + 1), dtype=np.float64)
         self._count = np.empty(0, dtype=np.intp)  # 0 for a free slot
+        self.feat = np.empty((0, 0), dtype=np.float64)  # grown with the pool
+        self.track_id = np.empty(0, dtype=np.int64)
+        self.class_id = np.empty(0, dtype=object)  # as the founding detection gave it
+        self.class_code = np.empty(0, dtype=np.intp)  # what the class gate compares
+        self.since = np.empty(0, dtype=np.intp)
+        self.seen = np.empty(0, dtype=object)
         self._free_slots: list[int] = []
 
-    def open(self, k: int) -> np.ndarray:
-        """k empty slots: released ones first, then the lowest new ones."""
+    def open(self, track_ids: np.ndarray, class_ids: list,
+             class_codes: np.ndarray) -> np.ndarray:
+        """Empty slots for new tracks of these ids and classes: released
+        ones first, then the lowest new ones."""
+        k = len(track_ids)
         while len(self._free_slots) < k:
             n = len(self._count)
             more = max(n, 8)
-            self._scores = np.concatenate([self._scores, np.empty((more, self.tau + 1))])
-            self._count = np.concatenate([self._count, np.zeros(more, np.intp)])
+            for name in ("_scores", "_count", "track_id", "class_id", "class_code",
+                         "since", "seen"):
+                held = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    [held, np.zeros((more, *held.shape[1:]), held.dtype)]))
             self._free_slots[:0] = range(n + more - 1, n - 1, -1)
-        return np.array([self._free_slots.pop() for _ in range(k)], dtype=np.intp)
+        slots = np.array([self._free_slots.pop() for _ in range(k)], dtype=np.intp)
+        self.track_id[slots] = track_ids
+        self.class_id[slots] = class_ids
+        self.class_code[slots] = class_codes
+        return slots
 
-    def stage(self, slots: np.ndarray, embeddings, scores):
+    def stage(self, slots: np.ndarray, embeddings: np.ndarray, scores: np.ndarray):
         """Write one observation per slot into its spare position."""
         if not len(slots):
             return
         if self._pool is None or len(self._pool) < len(self._count):
-            self._grow(len(self._count), len(embeddings[0]))
+            self._grow(len(self._count), embeddings.shape[1])
         pos = self._count[slots] % (self.tau + 1)
         self._pool[slots, pos] = embeddings
         self._scores[slots, pos] = scores
 
-    def advance(self, slots: np.ndarray):
-        """Make each slot's staged observation the newest of its window."""
+    def advance(self, slots: np.ndarray, features: np.ndarray, detections: np.ndarray):
+        """Make each slot's staged observation the newest of its window, and
+        record the window's feature and the detection it came from."""
+        if not len(slots):
+            return
         self._count[slots] += 1
+        self.feat[slots] = features
+        self.since[slots] = 0
+        self.seen[slots] = detections
 
     def release(self, slots: np.ndarray):
         """Close the slots."""
         self._count[slots] = 0
+        self.seen[slots] = None
         self._free_slots.extend(slots.tolist())
 
     def history(self, slot: int) -> list:
@@ -153,26 +179,25 @@ class _HistoryStore:
         pos = self._window(self._count[[slot]])[0]
         return list(zip(self._pool[slot, pos], self._scores[slot, pos].tolist()))
 
-    def features(self, slots: np.ndarray) -> list[np.ndarray]:
-        """The feature of each slot's window with its staged observation as the newest.
+    def features(self, slots: np.ndarray) -> np.ndarray:
+        """The feature of each slot's window with its staged observation as
+        the newest, one row per slot.
 
         Windows of one length go through _unit_means together, at most
         FEATURE_BATCH of them at once, each batch gathered from the pool
-        with one indexed copy; lengths are taken in order of first
-        appearance.
+        with one indexed copy and put in place with one indexed assignment;
+        lengths are taken in order of first appearance.
         """
         ends = self._count[slots] + 1
         lengths = np.minimum(ends, self.tau)
-        features: list = [None] * len(slots)
+        features = np.empty((len(slots), self.feat.shape[1]), dtype=np.float64)
         for n in dict.fromkeys(lengths.tolist()):
             members = np.flatnonzero(lengths == n)
             for start in range(0, len(members), FEATURE_BATCH):
                 batch = members[start:start + FEATURE_BATCH]
                 rows = slots[batch, None]
                 pos = self._window(ends[batch])
-                unit = _unit_means(self._pool[rows, pos], self._scores[rows, pos])
-                for k, i in enumerate(batch.tolist()):
-                    features[i] = unit[k]
+                features[batch] = _unit_means(self._pool[rows, pos], self._scores[rows, pos])
         return features
 
     def _window(self, ends: np.ndarray) -> np.ndarray:
@@ -189,14 +214,16 @@ class _HistoryStore:
         memory, and where it has mremap a resize moves the pages instead
         of copying them; elsewhere the pool is copied into a new map. A map
         cannot be resized while an array views it, and the pool is the only
-        view the store keeps.
+        view the store keeps. The feature matrix grows with the pool.
         """
         nbytes = slots * (self.tau + 1) * dim * np.dtype(np.float64).itemsize
         shape = (-1, self.tau + 1, dim)
         if self._map is None:
             self._map = mmap.mmap(-1, nbytes, **_PRIVATE_MAP)
             self._pool = np.frombuffer(self._map).reshape(shape)
+            self.feat = np.empty((slots, dim), dtype=np.float64)
             return
+        self.feat = np.concatenate([self.feat, np.empty((slots - len(self.feat), dim))])
         self._pool = None
         try:
             self._map.resize(nbytes)
@@ -208,6 +235,18 @@ class _HistoryStore:
             self._pool = np.frombuffer(self._map).reshape(shape)
 
 
+def _bands(scores: np.ndarray, config: TrackerConfig):
+    """The score-band partition: indices of the high, low and discarded bands.
+
+    The one band rule, for split_by_score and Tracker.step: score >=
+    high_thresh is high, low_thresh <= score < high_thresh is low, the rest
+    is discarded. Each band is in ascending order.
+    """
+    high = scores >= config.high_thresh
+    kept = scores >= config.low_thresh
+    return np.flatnonzero(high), np.flatnonzero(kept & ~high), np.flatnonzero(~kept)
+
+
 def split_by_score(detections, config: TrackerConfig):
     """Partition detections into (high, low, discarded) score bands.
 
@@ -215,64 +254,68 @@ def split_by_score(detections, config: TrackerConfig):
     low_thresh <= score < high_thresh is low band, the rest is discarded.
     Original order is preserved within each band.
     """
-    high, low, discarded = [], [], []
-    for det in detections:
-        if det.score >= config.high_thresh:
-            high.append(det)
-        elif det.score >= config.low_thresh:
-            low.append(det)
-        else:
-            discarded.append(det)
-    return high, low, discarded
+    detections = list(detections)
+    scores = np.array([det.score for det in detections], dtype=np.float64)
+    return tuple([detections[i] for i in band.tolist()] for band in _bands(scores, config))
 
 
 class Track:
-    """The record of one tracked object, read-only outside Tracker.step.
+    """One tracked object: a read-only view of its slot in the tracker's _HistoryStore.
 
-    `history` is the window of its last `tau` (embedding, score)
-    observations, oldest first, read from the tracker's _HistoryStore (a
-    copy each time); `feature` is weighted_feature of that window, bit for
-    bit, since both come from _unit_means. Tracker.step is its whole lifecycle: it stages
-    the matched tracks' observations in the store, computes the features of
-    every window the frame would leave in one batched pass (a founder's
-    from its one observation), and only then records the matches, gives the
-    removed tracks' slots back, founds new tracks on slots of the store and
-    assigns the features. While a track
-    is lost its window is not touched, so the feature stays frozen at its
-    last matched appearance. A removed track has no slot: its history is
-    empty and its feature None, while `track_id`, `class_id`, `state`,
+    `track_id`, `class_id`, `frames_since_match`, `last_bbox`, `last_frame`
+    and `feature` are read from the slot's arrays (`feature` as a copy),
+    and `history`, the window of its last `tau` (embedding, score)
+    observations, oldest first, is copied out of the pool on each read.
+    `feature` is weighted_feature of that window, bit for bit, since both
+    come from _unit_means. The state is derived, not stored: ACTIVE when
+    matched this frame (frames_since_match 0), LOST while unmatched, and
+    REMOVED once the track has no slot. While a track is lost its window
+    is not touched, so the feature stays frozen at its last matched
+    appearance. Removal copies the track's fields into its own small
+    record and gives the slot back: its history is then empty and its
+    feature None, while `track_id`, `class_id`, `state`,
     `frames_since_match`, `last_bbox` and `last_frame` stay. Only
     Tracker.step builds tracks.
     """
 
-    def __init__(self, track_id: int, detection: Detection, store: _HistoryStore, slot: int):
-        self.track_id = track_id
-        self.class_id = detection.class_id
-        self.feature: np.ndarray | None = None
+    def __init__(self, store: _HistoryStore, slot: int):
         self._store = store
         self._slot: int | None = slot
+        self._record: tuple | None = None  # the fields, once removed
+
+    def _fields(self) -> tuple:
+        """(track_id, class_id, frames_since_match, last_bbox, last_frame)."""
+        if self._slot is None:
+            return self._record
+        store, slot = self._store, self._slot
+        seen = store.seen[slot]
+        return (int(store.track_id[slot]), store.class_id[slot],
+                int(store.since[slot]), seen.bbox, seen.frame)
+
+    def _remove(self):
+        """Keep the fields in the track's own record and let the slot go."""
+        self._record = self._fields()
+        self._slot = None
+
+    track_id = property(lambda self: self._fields()[0])
+    class_id = property(lambda self: self._fields()[1])
+    frames_since_match = property(lambda self: self._fields()[2])
+    last_bbox = property(lambda self: self._fields()[3])
+    last_frame = property(lambda self: self._fields()[4])
+
+    @property
+    def state(self) -> TrackState:
+        if self._slot is None:
+            return TrackState.REMOVED
+        return TrackState.LOST if self._store.since[self._slot] else TrackState.ACTIVE
+
+    @property
+    def feature(self) -> np.ndarray | None:
+        return None if self._slot is None else self._store.feat[self._slot].copy()
 
     @property
     def history(self) -> list:
         return [] if self._slot is None else self._store.history(self._slot)
-
-    def _matched(self, detection: Detection, frame: int):
-        """The bookkeeping of a match whose observation the store has taken."""
-        self.state = TrackState.ACTIVE
-        self.frames_since_match = 0
-        self.last_bbox = detection.bbox
-        self.last_frame = frame
-
-    def _miss(self, max_lost_age: int):
-        """An unmatched frame of a live track: lost, or removed once too old."""
-        self.frames_since_match += 1
-        if self.frames_since_match <= max_lost_age:
-            self.state = TrackState.LOST
-            return
-        self.state = TrackState.REMOVED
-        self._store.release(np.array([self._slot]))
-        self._slot = None
-        self.feature = None
 
     def __repr__(self):
         return (
@@ -282,28 +325,51 @@ class Track:
         )
 
 
+def _appearance_costs(feats: np.ndarray, embs: np.ndarray,
+                      track_cls=None, det_cls=None) -> np.ndarray:
+    """Entry (i, j) = 1 - cos(feats[i], embs[j]), clipped to [0, 2].
+
+    The one cost kernel, for build_cost_matrix and Tracker.step. Given the
+    class ids of the rows and columns, pairs whose classes differ are
+    FORBIDDEN.
+    """
+    if not (len(feats) and len(embs)):
+        return np.empty((len(feats), len(embs)), dtype=np.float64)
+    costs = feats @ embs.T
+    np.clip(costs, -1.0, 1.0, out=costs)
+    np.subtract(1.0, costs, out=costs)
+    if track_cls is not None:
+        differ = track_cls[:, None] != det_cls
+        if differ.any():
+            costs[differ] = FORBIDDEN
+    return costs
+
+
 def build_cost_matrix(tracks, detections, per_class: bool = False) -> np.ndarray:
     """Appearance cost matrix: entry (i, j) = 1 - cos(track_i, det_j) in [0, 2].
 
     With per_class, pairs whose class ids differ are FORBIDDEN outright.
-    `tracks` must come from `Tracker.tracks`: their features are set by the
-    refresh at the end of each `Tracker.step`.
+    `tracks` must be live tracks of a `Tracker`, whose features the store
+    holds. Tracker.step runs the same kernel on its store's feature rows
+    and the frame's embedding block.
     """
-    costs = np.empty((len(tracks), len(detections)), dtype=np.float64)
-    if costs.size == 0:
-        return costs
+    tracks, detections = list(tracks), list(detections)
+    if not (tracks and detections):
+        return np.empty((len(tracks), len(detections)), dtype=np.float64)
     for j, det in enumerate(detections):
         if det.embedding is None:
             raise MissingEmbeddingError(det.frame, j)
     feats = np.stack([t.feature for t in tracks])
     embs = np.stack([d.embedding for d in detections])
-    sims = np.clip(feats @ embs.T, -1.0, 1.0)
-    costs = 1.0 - sims
-    if per_class:
-        track_cls = np.array([t.class_id for t in tracks]).reshape(-1, 1)
-        det_cls = np.array([d.class_id for d in detections]).reshape(1, -1)
-        costs = np.where(track_cls != det_cls, FORBIDDEN, costs)
-    return costs
+    if not per_class:
+        return _appearance_costs(feats, embs)
+    return _appearance_costs(feats, embs, np.array([t.class_id for t in tracks]),
+                             np.array([d.class_id for d in detections]))
+
+
+def _index(values) -> np.ndarray:
+    """A tuple of indices as an intp array (an empty tuple would index everything)."""
+    return np.array(values, dtype=np.intp)
 
 
 @dataclass
@@ -321,7 +387,8 @@ class Tracker:
     """Stateful frame-by-frame tracker; see `step` for the per-frame protocol.
 
     `tracks` holds every track founded so far, in founding order, and
-    `live_tracks` the ones not removed, in the same order; `step` keeps both.
+    `live_tracks` the ones not removed, in the same order; `step` keeps
+    both, and `_live_slots`, the live tracks' store slots in that order.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -329,12 +396,26 @@ class Tracker:
         self.tracks: list[Track] = []
         self.live_tracks: list[Track] = []
         self._store = _HistoryStore(self.config.tau)
+        self._live_slots = np.empty(0, dtype=np.intp)
         self._next_id = 1
         self._last_frame: int | None = None
         # The embedding length every detection must have: config.embedding_dim,
         # else the length of the first embedding a step accepted.
         self._dim: int | None = self.config.embedding_dim
         self.last_stats: StepStats | None = None
+        # The code of each class id seen so far, in order of first sight:
+        # class ids are any ints, and the class gate compares their codes.
+        # Codes only ever compare, so one a rejected frame added is harmless.
+        self._class_codes: dict = {}
+
+    def _stage_costs(self, slots: np.ndarray, cols: np.ndarray, embs: np.ndarray,
+                     class_codes: np.ndarray) -> np.ndarray:
+        """The cost matrix of the tracks on `slots` against the frame's rows `cols`."""
+        feats = self._store.feat[slots]
+        if not self.config.per_class:
+            return _appearance_costs(feats, embs[cols])
+        return _appearance_costs(feats, embs[cols], self._store.class_code[slots],
+                                 class_codes[cols])
 
     def step(self, frame_input: FrameInput) -> list[TrackOutput]:
         """Advance one frame; return the outputs of every matched or founded track.
@@ -346,16 +427,22 @@ class Tracker:
         (with bytetrack_stage2 the pool is the low band only). Matched tracks
         absorb their detection; unmatched tracks age and eventually drop off;
         unmatched high-band detections above min_init_score found new tracks.
-        Low-band detections never found tracks. This is the one place a
-        track is founded, recorded and refreshed: each matched detection is
-        written into the spare position of its track's slot in the store,
-        the features of those windows are computed in one batched pass (see
+        Low-band detections never found tracks.
+
+        This is the one place a track is founded, updated and aged, and it
+        works on arrays: the frame's embeddings, scores and class ids are
+        stacked once, the bands are index arrays into them, and each
+        stage's costs are the store's feature rows of the live slots
+        against the stage's embedding rows. Each matched detection is
+        written into the spare position of its track's slot, the features
+        of those windows are computed in one batched pass (see
         _HistoryStore.features) and a founder's from its one detection, and
-        only then are the windows advanced and tracks recorded and aged; a
-        removed track gives its slot back, and the founders take slots last,
-        so the store never holds more slots than the most tracks live after
-        a step. The outputs are built in track-id order. The work is
-        proportional to the live tracks, not to every track ever founded.
+        only then are the windows advanced, the feature rows written and the
+        unmatched tracks aged; a removed track gives its slot back, and the
+        founders take slots last, so the store never holds more slots than
+        the most tracks live after a step. The outputs are built in
+        track-id order. The work is proportional to the live tracks, not to
+        every track ever founded.
 
         The embeddings are used as given, so they should be unit-norm (see
         normalize_embedding); core.embedding_dim checks their shapes. The
@@ -372,86 +459,91 @@ class Tracker:
             raise NonMonotonicFrameError(
                 f"frame {frame} after frame {self._last_frame}"
             )
-        dim = embedding_dim(frame, frame_input.detections, self._dim)
-
-        high, low, _ = split_by_score(frame_input.detections, cfg)
-        live = self.live_tracks
+        dets = frame_input.detections
+        dim = embedding_dim(frame, dets, self._dim)
+        detected = np.fromiter(dets, dtype=object, count=len(dets))
+        embs = np.array([det.embedding for det in dets]) if dets else np.empty((0, 0))
+        scores = np.array([det.score for det in dets], dtype=np.float64)
+        known = self._class_codes
+        class_codes = np.array([known.setdefault(det.class_id, len(known)) for det in dets],
+                               dtype=np.intp)
+        high, low, _ = _bands(scores, cfg)
+        store, live = self._store, self._live_slots
 
         # Stage 1: confident detections against every live track. Lost tracks
         # compete on equal footing, their feature frozen from the last match.
-        res1 = solve_assignment(
-            gate_costs(build_cost_matrix(live, high, cfg.per_class),
-                       1.0 - cfg.sim_gate_high)
-        )
-        matched = [(live[i], high[j]) for i, j in res1.matches]
-        remaining = [live[i] for i in res1.unmatched_rows]
-        unmatched_high = [high[j] for j in res1.unmatched_cols]
+        res1 = solve_assignment(gate_costs(
+            self._stage_costs(live, high, embs, class_codes), 1.0 - cfg.sim_gate_high))
+        pairs1 = _index(res1.matches).reshape(-1, 2)
+        remaining = live[_index(res1.unmatched_rows)]
+        unmatched_high = high[_index(res1.unmatched_cols)]
 
         # Stage 2: the leftovers. Carried unmatched confident detections get a
         # second chance under the looser gate; bytetrack_stage2 carries none.
-        carried = [] if cfg.bytetrack_stage2 else unmatched_high
-        pool = carried + list(low)
-        res2 = solve_assignment(
-            gate_costs(build_cost_matrix(remaining, pool, cfg.per_class),
-                       1.0 - cfg.sim_gate_low)
-        )
-        matched += [(remaining[i], pool[j]) for i, j in res2.matches]
+        carried = unmatched_high[:0] if cfg.bytetrack_stage2 else unmatched_high
+        pool = np.concatenate([carried, low])
+        res2 = solve_assignment(gate_costs(
+            self._stage_costs(remaining, pool, embs, class_codes), 1.0 - cfg.sim_gate_low))
+        pairs2 = _index(res2.matches).reshape(-1, 2)
+        slots = np.concatenate([live[pairs1[:, 0]], remaining[pairs2[:, 0]]])
+        cols = np.concatenate([high[pairs1[:, 1]], pool[pairs2[:, 1]]])
 
         # Founding: only confident leftovers above the init floor. The low
         # band can sustain tracks but never create them.
-        leftovers = (unmatched_high[len(carried):]
-                     + [pool[j] for j in res2.unmatched_cols if j < len(carried)])
-        founders = [det for det in leftovers if det.score >= cfg.min_init_score]
+        unmatched_pool = _index(res2.unmatched_cols)
+        leftovers = np.concatenate([unmatched_high[len(carried):],
+                                    pool[unmatched_pool[unmatched_pool < len(carried)]]])
+        founders = leftovers[scores[leftovers] >= cfg.min_init_score]
 
         # The features of the windows this frame would leave, computed before
         # any state changes: a matched track's observation is staged outside
         # its window, and a founder's feature is that of its one observation.
-        store = self._store
-        slots = np.array([t._slot for t, _ in matched], dtype=np.intp)
-        store.stage(slots, [det.embedding for _, det in matched],
-                    [det.score for _, det in matched])
+        store.stage(slots, embs[cols], scores[cols])
         features = store.features(slots)
-        founder_embs = np.array([det.embedding for det in founders], dtype=np.float64)
-        founder_scores = np.array([det.score for det in founders], dtype=np.float64)
-        if founders:
-            features += list(_unit_means(founder_embs[:, None, :], founder_scores[:, None]))
-        store.advance(slots)
+        founder_features = (_unit_means(embs[founders][:, None, :], scores[founders][:, None])
+                            if len(founders) else None)
         self._last_frame = frame
         self._dim = dim
-        stats = StepStats(frame=frame, matched_stage1=len(res1.matches),
-                          matched_stage2=len(res2.matches), spawned=len(founders))
-        for track, det in matched:
-            track._matched(det, frame)
-        for i in res2.unmatched_rows:
-            remaining[i]._miss(cfg.max_lost_age)
-            stats.removed += remaining[i].state is TrackState.REMOVED
-        # Founders open their slots after the removed tracks gave theirs back.
-        fresh = store.open(len(founders))
-        store.stage(fresh, founder_embs, founder_scores)
-        store.advance(fresh)
-        new_tracks = []
-        for slot, det in zip(fresh.tolist(), founders):
-            track = Track(self._next_id, det, store, slot)
-            track._matched(det, frame)
-            new_tracks.append(track)
-            self._next_id += 1
+        store.advance(slots, features, detected[cols])
+        store.since[remaining[_index(res2.unmatched_rows)]] += 1
+        # The removal mask is taken before the founders open slots, which
+        # may be the ones the removed tracks give back.
+        gone = store.since[live] > cfg.max_lost_age
+        live_tracks = self.live_tracks
+        if gone.any():
+            for i in np.flatnonzero(gone).tolist():
+                live_tracks[i]._remove()
+            store.release(live[gone])
+            live = live[~gone]
+            live_tracks = list(compress(live_tracks, (~gone).tolist()))
+        if len(founders):
+            fresh = store.open(np.arange(self._next_id, self._next_id + len(founders)),
+                               [det.class_id for det in detected[founders].tolist()],
+                               class_codes[founders])
+            store.stage(fresh, embs[founders], scores[founders])
+            store.advance(fresh, founder_features, detected[founders])
+            self._next_id += len(founders)
+            new_tracks = [Track(store, slot) for slot in fresh.tolist()]
+            self.tracks.extend(new_tracks)
+            live_tracks = live_tracks + new_tracks
+            live = np.concatenate([live, fresh])
+            slots = np.concatenate([slots, fresh])
+            cols = np.concatenate([cols, founders])
+        self.live_tracks = live_tracks
+        self._live_slots = live
+        self.last_stats = StepStats(frame=frame, matched_stage1=len(pairs1),
+                                    matched_stage2=len(pairs2), spawned=len(founders),
+                                    removed=int(gone.sum()))
 
-        emitting = matched + list(zip(new_tracks, founders))
-        for (track, _), feature in zip(emitting, features):
-            track.feature = feature
-        self.tracks.extend(new_tracks)
-        if stats.removed:
-            live = [t for t in live if t.state is not TrackState.REMOVED]
-        self.live_tracks = live + new_tracks
         # Stage-2 matches can hold lower ids than stage-1 ones.
-        emitting.sort(key=lambda pair: pair[0].track_id)
-        outputs = [
-            TrackOutput(frame=frame, track_id=track.track_id, bbox=det.bbox,
-                        score=det.score, class_id=track.class_id)
-            for track, det in emitting
+        order = np.argsort(store.track_id[slots])
+        slots = slots[order]
+        return [
+            TrackOutput(frame, track_id, det.bbox, det.score, class_id)
+            for track_id, class_id, det in zip(store.track_id[slots].tolist(),
+                                               store.class_id[slots].tolist(),
+                                               detected[cols[order]].tolist())
         ]
-        self.last_stats = stats
-        return outputs
 
 
 def run_sequence(frames, config: TrackerConfig | None = None) -> list[TrackOutput]:

@@ -380,6 +380,19 @@ def test_bad_flag_value_exits_11(tmp_path, capsys, command, flag, value):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, allowed", [
+    ("--num-frames", "num_frames must be in [0, 1000000]"),
+    ("--num-identities", "num_identities must be in [0, 100000]"),
+    ("--embedding-dim", "embedding_dim must be in [1, 4096]"),
+])
+def test_synth_size_past_its_bound_exits_11_before_allocating(tmp_path, capsys, flag, allowed):
+    # Unbounded, these sizes reach numpy as allocations of terabytes.
+    rc = main(["synth", str(tmp_path / "s"), flag, str(10**12)])
+    assert rc == 11
+    assert allowed in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("command", ["track", "nms"])
 def test_bad_nms_thresh_on_empty_input_exits_11(tmp_path, capsys, command):
     empty = tmp_path / "empty.txt"

@@ -29,6 +29,8 @@ from reidmot.synth import (
     BOX_SIZE,
     MAX_CLUTTER_RATE,
     MAX_EMBED_NOISE_SIGMA,
+    MAX_EMBEDDING_DIM,
+    MAX_FRAMES,
     MAX_SAMPLING_ATTEMPTS,
     MAX_SPEED,
 )
@@ -199,6 +201,12 @@ def test_spec_validation():
     with pytest.raises(ConfigError, match="embed_noise_sigma must be"):
         ScenarioSpec(embed_noise_sigma=1e300)
     ScenarioSpec(clutter_rate=MAX_CLUTTER_RATE, embed_noise_sigma=MAX_EMBED_NOISE_SIGMA)
+    # The sizes are bounded before generate allocates anything.
+    for name, top in (("num_identities", MAX_SAMPLING_ATTEMPTS), ("num_frames", MAX_FRAMES),
+                      ("embedding_dim", MAX_EMBEDDING_DIM)):
+        ScenarioSpec(**{name: top})
+        with pytest.raises(ConfigError, match=rf"{name} must be in \[\d, {top}\]"):
+            ScenarioSpec(**{name: top + 1})
 
 
 def test_noise_free_bundle_tracks_perfectly():

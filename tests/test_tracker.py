@@ -152,6 +152,19 @@ def test_split_by_score_boundaries():
     assert discarded == [d_low]
 
 
+def test_split_by_score_edges_are_the_steps_band_edges():
+    # On each threshold, and one ulp below it. The step splits with the same
+    # rule: only the detection exactly on high_thresh founds a track.
+    cfg = TrackerConfig(high_thresh=0.8, low_thresh=0.4, per_class=False)
+    scores = [0.8, float(np.nextafter(0.8, 0.0)), 0.4, float(np.nextafter(0.4, 0.0))]
+    dets = [det(1, s, unit(*np.eye(4)[k])) for k, s in enumerate(scores)]
+    high, low, discarded = split_by_score(dets, cfg)
+    assert (high, low, discarded) == ([dets[0]], [dets[1], dets[2]], [dets[3]])
+    tracker = Tracker(cfg)
+    out = tracker.step(FrameInput(frame=1, detections=tuple(dets)))
+    assert [(o.track_id, o.score) for o in out] == [(1, 0.8)]
+
+
 def test_build_cost_matrix_values_and_classes():
     tracker = Tracker(TrackerConfig(per_class=False))
     tracker.step(FrameInput(frame=1, detections=(
@@ -254,6 +267,19 @@ def test_per_class_never_crosses():
     # same appearance, different class: old track is not matched, a new one is born
     assert [o.track_id for o in out] == [2]
     assert tracker.tracks[0].state is TrackState.LOST
+
+
+def test_class_ids_past_int64_are_kept_and_gated():
+    # Class ids are any non-negative ints, as the detection parser reads
+    # them: tracks keep theirs as given, and the class gate still holds.
+    big = 2**70
+    e = unit(1, 0)
+    tracker = Tracker(TrackerConfig(per_class=True))
+    out = tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, e, class_id=big),)))
+    assert [(o.track_id, o.class_id) for o in out] == [(1, big)]
+    out = tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, e, class_id=big + 1),)))
+    assert [(o.track_id, o.class_id) for o in out] == [(2, big + 1)]
+    assert [t.class_id for t in tracker.tracks] == [big, big + 1]
 
 
 def test_min_init_score_blocks_spawning():
@@ -551,11 +577,68 @@ def test_store_holds_the_rows_of_live_tracks_only():
         most_live = max(most_live, len(tracker.live_tracks))
         used = max([used] + [t._slot + 1 for t in tracker.live_tracks])
         assert _open_slots(tracker._store) <= len(tracker.live_tracks)
+        assert tracker._live_slots.tolist() == [t._slot for t in tracker.live_tracks]
     assert used <= most_live
     assert len(tracker.tracks) > 10 * most_live
     removed = [t for t in tracker.tracks if t.state is TrackState.REMOVED]
     assert len(removed) == len(tracker.tracks) - len(tracker.live_tracks)
     assert all(t.history == [] and t.feature is None for t in removed)
+
+
+def test_a_founder_takes_the_slot_its_frame_frees_from_a_removed_track():
+    # Frame 2 removes track 1 at max_lost_age 0 and founds track 2, which
+    # opens the slot track 1 gave back in the same step. The removed track
+    # keeps its own fields, not the founder's.
+    cfg = TrackerConfig(max_lost_age=0, per_class=False)
+    tracker = Tracker(cfg)
+    first, second = BBox(1, 2, 10, 10), BBox(30, 40, 10, 10)
+    tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(1, 0), box=first),)))
+    [old] = tracker.tracks
+    slot = old._slot
+    out = tracker.step(FrameInput(frame=2, detections=(
+        det(2, 0.95, unit(0, 1), class_id=4, box=second),)))
+    assert [(o.track_id, o.bbox, o.class_id) for o in out] == [(2, second, 4)]
+    assert tracker.last_stats.removed == 1 and tracker.last_stats.spawned == 1
+    removed, founder = tracker.tracks
+    assert removed is old
+    assert (removed.track_id, removed.class_id, removed.state, removed.frames_since_match,
+            removed.last_bbox, removed.last_frame) == (1, 0, TrackState.REMOVED, 1, first, 1)
+    assert (removed.history, removed.feature) == ([], None)
+    assert founder._slot == slot
+    assert (founder.track_id, founder.class_id, founder.state, founder.frames_since_match,
+            founder.last_bbox, founder.last_frame) == (2, 4, TrackState.ACTIVE, 0, second, 2)
+    assert [(e.tolist(), s) for e, s in founder.history] == [([0.0, 1.0], 0.95)]
+    assert founder.feature.tolist() == [0.0, 1.0]
+    assert tracker.live_tracks == [founder]
+    assert tracker._live_slots.tolist() == [slot]
+
+
+def test_last_stats_counts_each_frames_matches_founders_and_removals():
+    # Four orthogonal appearances a, b, c, d. A track's feature is the one
+    # appearance it is seen with, so every cosine is 0 or 1 except the
+    # blend of a and d on frame 5 (0.78: under the high gate, over the low).
+    cfg = TrackerConfig(high_thresh=0.8, low_thresh=0.4, sim_gate_high=0.8,
+                        sim_gate_low=0.3, max_lost_age=1, tau=3, per_class=False)
+    a, b, c, d = np.eye(4)
+    blend = a + 0.8 * d
+    frames = [
+        [(0.9, a), (0.9, b)],  # founds tracks 1 and 2
+        [(0.9, a), (0.5, b), (0.9, c)],  # 1 in stage 1, 2 in stage 2 (low band), founds 3
+        [(0.9, a)],  # 2 and 3 lost
+        [(0.9, a), (0.9, b)],  # 1 and lost 2 in stage 1; 3 removed
+        [(0.9, blend), (0.9, c), (0.5, d), (0.2, b)],  # blend carried to 1; c founds 4
+    ]
+    want = [(0, 0, 2, 0), (1, 1, 1, 0), (1, 0, 0, 0), (2, 0, 0, 1), (0, 1, 1, 0)]
+    want_outputs = [[1, 2], [1, 2, 3], [1], [1, 2], [1, 4]]
+    tracker = Tracker(cfg)
+    for f, (sightings, counts, ids) in enumerate(zip(frames, want, want_outputs), start=1):
+        out = tracker.step(FrameInput(frame=f, detections=tuple(
+            det(f, score, emb / np.linalg.norm(emb)) for score, emb in sightings)))
+        stats = tracker.last_stats
+        assert stats.frame == f
+        assert (stats.matched_stage1, stats.matched_stage2, stats.spawned,
+                stats.removed) == counts
+        assert [o.track_id for o in out] == ids
 
 
 def test_store_grows_by_copying_where_a_map_cannot_be_resized(monkeypatch):
