@@ -12,6 +12,7 @@ equal spec in, byte-equal scenario out.
 import os
 from dataclasses import dataclass
 from math import isfinite
+from operator import index
 
 import numpy as np
 
@@ -31,11 +32,16 @@ MAX_CLUTTER_RATE = 1e18
 MAX_EMBED_NOISE_SIGMA = 1e100
 # An attempt places at most one identity, so this also bounds num_identities.
 MAX_SAMPLING_ATTEMPTS = 100_000
-# The score and dropout tables hold (num_frames + 1) * (num_identities + 1)
-# cells; this keeps a one-identity scenario's tables near 20 MB.
+# Every frame keeps a FrameInput, about 130 bytes even with no identities;
+# this keeps an empty scenario's frames near 130 MB.
 MAX_FRAMES = 1_000_000
 # Far above the 128 to 2048 dimensions of re-ID embeddings.
 MAX_EMBEDDING_DIM = 4096
+# num_identities * embedding_dim: the float64 bases matrix stays within 128 MiB.
+MAX_BASES_CELLS = 2**24
+# num_frames * num_identities: a (frame, identity) keeps a GtEntry and up to one
+# Detection, about 530 bytes plus its embedding: 5.3 GB at embedding_dim 1.
+MAX_RECORD_CELLS = 10_000_000
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
 _SIMILARITY_SLACK = 1e-12
@@ -50,7 +56,9 @@ class ScenarioSpec:
     start..end inclusive. dipped_score must sit inside [low_thresh,
     high_thresh), i.e. in the tracker's low band. dropout_windows entries are
     (start_frame, end_frame, identity): the identity goes completely
-    undetected on those frames (ground truth still records it).
+    undetected on those frames (ground truth still records it). Window
+    frames and identities are integers; a window may reach outside
+    1..num_frames.
     """
 
     num_identities: int = 5
@@ -78,6 +86,10 @@ class ScenarioSpec:
             raise ConfigError(f"num_frames must be in [0, {MAX_FRAMES}]")
         if not (1 <= self.embedding_dim <= MAX_EMBEDDING_DIM):
             raise ConfigError(f"embedding_dim must be in [1, {MAX_EMBEDDING_DIM}]")
+        if self.num_identities * self.embedding_dim > MAX_BASES_CELLS:
+            raise ConfigError(f"num_identities * embedding_dim must be at most {MAX_BASES_CELLS}")
+        if self.num_frames * self.num_identities > MAX_RECORD_CELLS:
+            raise ConfigError(f"num_frames * num_identities must be at most {MAX_RECORD_CELLS}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
@@ -98,23 +110,30 @@ class ScenarioSpec:
                 f"arena sides must be at least {BOX_SIZE + MAX_SPEED}px: the "
                 f"{BOX_SIZE}px box plus the {MAX_SPEED}px top speed"
             )
-        for dip in self.score_dips:
-            start, end, identity, score = dip
-            if start > end:
-                raise ConfigError(f"dip window {start}..{end} is empty")
-            if not (1 <= identity <= self.num_identities):
-                raise ConfigError(f"dip identity {identity} out of range")
+        for start, end, identity, score in self.score_dips:
+            _check_window("dip", start, end, identity, self.num_identities)
             if not (self.low_thresh <= score < self.high_thresh):
                 raise ConfigError(
                     f"dipped score {score} must lie in the low band "
                     f"[{self.low_thresh}, {self.high_thresh})"
                 )
-        for win in self.dropout_windows:
-            start, end, identity = win
-            if start > end:
-                raise ConfigError(f"dropout window {start}..{end} is empty")
-            if not (1 <= identity <= self.num_identities):
-                raise ConfigError(f"dropout identity {identity} out of range")
+        for start, end, identity in self.dropout_windows:
+            _check_window("dropout", start, end, identity, self.num_identities)
+
+
+def _check_window(kind: str, start, end, identity, num_identities: int) -> None:
+    """Raise ConfigError unless start..end are whole frames, start <= end, and
+    identity is one of 1..num_identities."""
+    try:
+        start, end, identity = index(start), index(end), index(identity)
+    except TypeError:
+        raise ConfigError(
+            f"{kind} window fields must be integers, got {start}, {end}, {identity}"
+        ) from None
+    if start > end:
+        raise ConfigError(f"{kind} window {start}..{end} is empty")
+    if not (1 <= identity <= num_identities):
+        raise ConfigError(f"{kind} identity {identity} out of range")
 
 
 def _sample_bases(rng, spec) -> np.ndarray:
@@ -164,40 +183,15 @@ def _advance(pos, vel, limit) -> tuple[np.ndarray, np.ndarray]:
     return pos, np.where(out, -vel, vel)
 
 
-def _score_table(spec) -> np.ndarray:
-    """The score of each (frame, identity), both counted from 1.
-
-    BASE_SCORE, or the dipped score of the first listed dip covering the
-    cell: the dips are laid down last to first, so the first one wins.
-    """
-    scores = np.full((spec.num_frames + 1, spec.num_identities + 1), BASE_SCORE)
-    for start, end, identity, score in reversed(spec.score_dips):
-        scores[_frame_rows(spec, start, end), identity] = score
-    return scores
-
-
-def _dropout_table(spec) -> np.ndarray:
-    """Whether each (frame, identity), both counted from 1, lies in a dropout window."""
-    hidden = np.zeros((spec.num_frames + 1, spec.num_identities + 1), dtype=bool)
-    for start, end, identity in spec.dropout_windows:
-        hidden[_frame_rows(spec, start, end), identity] = True
-    return hidden
-
-
-def _frame_rows(spec, start: int, end: int) -> slice:
-    """The table rows of frames start..end, clipped to frames 1..num_frames.
-
-    ScenarioSpec takes windows that begin before frame 1 or end past the
-    last frame; unclipped, a negative end would count from the table's end.
-    """
-    return slice(max(start, 1), max(min(end, spec.num_frames) + 1, 1))
-
-
 def generate(spec: ScenarioSpec) -> SequenceBundle:
     """Generate the scenario described by `spec`.
 
     Deterministic: one PCG64 stream seeded with spec.seed drives base
     sampling, motion, dropout, noise and clutter in a fixed order.
+
+    Each frame reads the dip and dropout windows that cover it; the first
+    listed dip wins. The dropout_prob draw is made for every identity, hidden
+    or not, so windows leave the stream as it is.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     bases = _sample_bases(rng, spec)
@@ -209,17 +203,21 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
     pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
     vel = rng.uniform(-MAX_SPEED, MAX_SPEED, size=(spec.num_identities, 2))
 
-    scores = _score_table(spec).tolist()
-    hidden = _dropout_table(spec).tolist()
     frames = []
     gt = []
     for frame in range(1, spec.num_frames + 1):
+        hidden = {identity for start, end, identity in spec.dropout_windows
+                  if start <= frame <= end}
+        # Laid down last to first, so the first listed dip wins.
+        dipped = {identity: float(score)
+                  for start, end, identity, score in reversed(spec.score_dips)
+                  if start <= frame <= end}
         dets = []
         for i in range(spec.num_identities):
             identity = i + 1
             bbox = BBox(float(pos[i, 0]), float(pos[i, 1]), BOX_SIZE, BOX_SIZE)
             gt.append(GtEntry(frame=frame, identity=identity, bbox=bbox, class_id=0))
-            observed = not hidden[frame][identity]
+            observed = identity not in hidden
             if spec.dropout_prob > 0.0 and rng.random() < spec.dropout_prob:
                 observed = False
             if not observed:
@@ -233,7 +231,7 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
             dets.append(Detection(
                 frame=frame,
                 bbox=bbox,
-                score=scores[frame][identity],
+                score=dipped.get(identity, BASE_SCORE),
                 class_id=0,
                 embedding=emb,
             ))

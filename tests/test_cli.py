@@ -393,6 +393,22 @@ def test_synth_size_past_its_bound_exits_11_before_allocating(tmp_path, capsys, 
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("sizes, allowed", [
+    (["--num-identities", "100000", "--embedding-dim", "4096"],
+     "num_identities * embedding_dim must be at most 16777216"),
+    (["--num-frames", "1000000", "--num-identities", "100000"],
+     "num_frames * num_identities must be at most 10000000"),
+])
+def test_synth_size_product_past_its_bound_exits_11_before_allocating(tmp_path, capsys, sizes,
+                                                                      allowed):
+    # Each size is within its own bound. Unbounded, the first asks for a
+    # 3.05 GiB bases matrix and the second for 10**11 records.
+    rc = main(["synth", str(tmp_path / "s"), *sizes, "--min-separation", "0"])
+    assert rc == 11
+    assert allowed in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("command", ["track", "nms"])
 def test_bad_nms_thresh_on_empty_input_exits_11(tmp_path, capsys, command):
     empty = tmp_path / "empty.txt"

@@ -245,6 +245,8 @@ def test_config_validation():
         TrackerConfig(sim_gate_high=1.5)
     with pytest.raises(ConfigError):
         TrackerConfig(min_init_score=2.0)
+    with pytest.raises(ConfigError, match="embedding_dim must be >= 1, got 0"):
+        TrackerConfig(embedding_dim=0)
     # collapsing the low band onto the high threshold is allowed
     cfg = TrackerConfig(low_thresh=0.84, high_thresh=0.84)
     assert cfg.low_thresh == cfg.high_thresh

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -27,10 +28,12 @@ from reidmot.io import load_text
 from reidmot.synth import (
     BASE_SCORE,
     BOX_SIZE,
+    MAX_BASES_CELLS,
     MAX_CLUTTER_RATE,
     MAX_EMBED_NOISE_SIGMA,
     MAX_EMBEDDING_DIM,
     MAX_FRAMES,
+    MAX_RECORD_CELLS,
     MAX_SAMPLING_ATTEMPTS,
     MAX_SPEED,
 )
@@ -177,8 +180,23 @@ def test_spec_validation():
         ScenarioSpec(score_dips=((1, 5, 1, 0.9),))  # dip outside the low band
     with pytest.raises(ConfigError):
         ScenarioSpec(score_dips=((1, 5, 3, 0.5),), num_identities=2)
+    with pytest.raises(ConfigError, match="dip window 5..1 is empty"):
+        ScenarioSpec(score_dips=((5, 1, 1, 0.5),))
     with pytest.raises(ConfigError):
         ScenarioSpec(dropout_windows=((5, 1, 1),))
+    for identity in (0, 3):
+        with pytest.raises(ConfigError, match=f"dropout identity {identity} out of range"):
+            ScenarioSpec(dropout_windows=((1, 5, identity),), num_identities=2)
+    # Window fields are whole frames and identities: numpy ints and True pass.
+    for dips, windows in ((((1, 2.5, 1, 0.5),), ()), ((), ((1.5, 3, 1),)),
+                          ((), ((1, 3, 1.0),))):
+        with pytest.raises(ConfigError, match="window fields must be integers"):
+            ScenarioSpec(score_dips=dips, dropout_windows=windows)
+    ScenarioSpec(score_dips=((True, np.int64(3), np.int32(1), 0.5),),
+                 dropout_windows=((np.int64(2), 4, True),))
+    for separation in (-0.1, 2.1):
+        with pytest.raises(ConfigError, match=r"min_identity_separation must be in \[0, 2\]"):
+            ScenarioSpec(min_identity_separation=separation)
     with pytest.raises(ConfigError):
         ScenarioSpec(dropout_prob=1.5)
     with pytest.raises(ConfigError):
@@ -207,6 +225,17 @@ def test_spec_validation():
         ScenarioSpec(**{name: top})
         with pytest.raises(ConfigError, match=rf"{name} must be in \[\d, {top}\]"):
             ScenarioSpec(**{name: top + 1})
+    # So are the products that size the bases matrix and the records: each
+    # at its bound passes, and one identity more is refused.
+    for sizes, top, product in (
+            ({"num_identities": 4096, "embedding_dim": 4096}, MAX_BASES_CELLS,
+             r"num_identities \* embedding_dim"),
+            ({"num_identities": 100, "num_frames": 100_000}, MAX_RECORD_CELLS,
+             r"num_frames \* num_identities")):
+        ScenarioSpec(**sizes)
+        sizes["num_identities"] += 1
+        with pytest.raises(ConfigError, match=rf"{product} must be at most {top}"):
+            ScenarioSpec(**sizes)
 
 
 def test_noise_free_bundle_tracks_perfectly():
@@ -334,12 +363,17 @@ def windowed_specs(draw):
                                   (-3, 2, 2, 0.7), (9, 30, 2, 0.35), (3, 6, 1, 0.45)),
                       dropout_windows=((-5, -1, 1), (-1, 1, 2), (4, 5, 1), (4, 5, 1),
                                        (5, 8, 1), (10, 12, 2), (11, 14, 1))))
-def test_score_and_dropout_tables_equal_the_window_scans(spec):
-    scores, hidden = synth._score_table(spec), synth._dropout_table(spec)
-    cells = [(f, i) for f in range(1, spec.num_frames + 1)
-             for i in range(1, spec.num_identities + 1)]
-    assert [scores[f, i] for f, i in cells] == [scan_dipped_score(spec, f, i) for f, i in cells]
-    assert [hidden[f, i] for f, i in cells] == [scan_dropped(spec, f, i) for f, i in cells]
+def test_generate_applies_the_window_scans(spec):
+    # With no random dropout or clutter, the windows alone decide each
+    # frame's detections.
+    spec = dataclasses.replace(spec, dropout_prob=0.0, clutter_rate=0.0)
+    bundle = generate(spec)
+    boxes = {(e.frame, e.identity): e.bbox for e in bundle.gt}
+    assert [fi.frame for fi in bundle.frames] == list(range(1, spec.num_frames + 1))
+    for fi in bundle.frames:
+        want = [(boxes[fi.frame, i], scan_dipped_score(spec, fi.frame, i))
+                for i in range(1, spec.num_identities + 1) if not scan_dropped(spec, fi.frame, i)]
+        assert [(d.bbox, d.score) for d in fi.detections] == want
 
 
 def _bench_run():

@@ -182,6 +182,10 @@ def test_build_cost_matrix_values_and_classes():
 
     with pytest.raises(MissingEmbeddingError):
         build_cost_matrix([t1], [Detection(frame=2, bbox=BOX, score=0.9)])
+    # No tracks or no detections: an empty matrix of the right shape.
+    for rows, cols, shape in (([], dets, (0, 2)), ([t1, t2], [], (2, 0))):
+        empty = build_cost_matrix(rows, cols)
+        assert (empty.shape, empty.dtype) == (shape, np.float64)
 
 
 def test_first_frame_spawns_tracks_in_order():
@@ -226,12 +230,15 @@ def test_unmatched_track_ages_to_lost_then_removed():
     tracker = Tracker(cfg)
     tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(1, 0)),)))
     track = tracker.tracks[0]
+    assert repr(track) == "Track(id=1, state=active, cls=0, hist=1, since_match=0)"
     tracker.step(FrameInput(frame=2, detections=()))
     assert track.state is TrackState.LOST and track.frames_since_match == 1
     tracker.step(FrameInput(frame=3, detections=()))
     assert track.state is TrackState.LOST and track.frames_since_match == 2
     tracker.step(FrameInput(frame=4, detections=()))
     assert track.state is TrackState.REMOVED
+    # A removed track keeps its ids and age but gives its history back.
+    assert repr(track) == "Track(id=1, state=removed, cls=0, hist=0, since_match=3)"
 
 
 def test_lost_track_recovers_same_id():
