@@ -9,15 +9,11 @@ and the identity comes back as a new id.
 Run with: python3 demos/02_low_score_recovery.py
 """
 
-from reidmot import ScenarioSpec, Tracker, TrackerConfig, evaluate, generate
+from reidmot import ScenarioSpec, TrackerConfig, evaluate, generate, run_sequence
 
 
 def run(bundle, **cfg_kw):
-    tracker = Tracker(TrackerConfig(**cfg_kw))
-    outs = []
-    for fi in bundle.frames:
-        outs.extend(tracker.step(fi))
-    return evaluate(list(bundle.gt), outs)
+    return evaluate(list(bundle.gt), run_sequence(bundle.frames, TrackerConfig(**cfg_kw)))
 
 
 def main():

@@ -14,14 +14,11 @@ enough to fragment tracks.
 Run with: python3 demos/03_occlusion_buffering.py
 """
 
-from reidmot import ScenarioSpec, Tracker, TrackerConfig, evaluate, generate
+from reidmot import ScenarioSpec, TrackerConfig, evaluate, generate, run_sequence
 
 
 def idsw(bundle, tau):
-    tracker = Tracker(TrackerConfig(tau=tau, max_lost_age=30))
-    outs = []
-    for fi in bundle.frames:
-        outs.extend(tracker.step(fi))
+    outs = run_sequence(bundle.frames, TrackerConfig(tau=tau, max_lost_age=30))
     return evaluate(list(bundle.gt), outs).idsw
 
 

@@ -6,17 +6,20 @@ overlap at the gate, and only the leftovers go through a fresh Hungarian match
 on 1 - IoU. MOTP here is the mean matched *distance* (1 - IoU), so 0.0 is
 perfect and lower is better.
 
-One core scores two BoxTables (`core`): it walks both frame by frame and
-builds each frame's gt x pred IoU matrix once, on column slices
-(`core.iou_columns`), for CLEAR-MOT and IDF1 to share. `evaluate`,
-`clear_mot` and `idf1` check their records and turn them into tables, gt
-sorted by (frame, identity) and predictions stably by frame, so input order
-is kept within a frame; `reidmot eval` reads its two files straight into
-tables (`io`) and calls the same core.
+One core scores two BoxTables (`core`) in one walk over the frames: it
+builds each frame's gt x pred IoU matrix on column slices
+(`core.iou_columns`), updates the CLEAR-MOT counts and the IDF1 overlap
+counter from it, and lets it go before the next frame, so one matrix is held
+at a time. The identity-to-track assignment of IDF1 runs once, after the
+walk. `evaluate` checks its records and turns them into tables, gt sorted by
+(frame, identity) and predictions stably by frame, so input order is kept
+within a frame; `clear_mot` and `idf1` return their fields of `evaluate`.
+`reidmot eval` reads its two files straight into tables (`io`) and calls the
+same core.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -108,24 +111,52 @@ def _frame_ious(gt: BoxTable, pred: BoxTable):
 
 
 def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
-    """CLEAR-MOT counts for one sequence.
+    """The CLEAR-MOT fields of `evaluate(gt, pred, iou_gate)`.
 
     gt is a list of GtEntry, pred a list of TrackOutput; a (frame, identity)
     or (frame, track id) that repeats raises DuplicateEntryError. An identity
     switch is counted whenever a matched ground-truth identity is paired with
     a track id different from the one of its most recent earlier pairing.
     """
+    report = evaluate(gt, pred, iou_gate)
+    return ClearMotResult(**{f.name: getattr(report, f.name) for f in fields(ClearMotResult)})
+
+
+def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
+    """(idf1, idp, idr) of `evaluate(gt, pred, iou_gate)`.
+
+    They come from a single global identity-to-track assignment. Edge weight
+    between a ground-truth identity and a track id is the number of frames in
+    which both appear with box IoU >= iou_gate; the assignment maximizes total
+    overlap. Conventions: empty predictions give idp = 0.
+    """
+    report = evaluate(gt, pred, iou_gate)
+    return report.idf1, report.idp, report.idr
+
+
+def evaluate(gt, pred, iou_gate: float = 0.5) -> EvalReport:
+    """Full report: CLEAR-MOT counts plus IDF1 at the same gate.
+
+    Each frame's IoU matrix is built once and read by both.
+    """
     _check_inputs(gt, pred, iou_gate)
-    return _clear_mot(_frame_ious(*_tables(gt, pred)), len(gt), iou_gate)
+    return _evaluate_tables(*_tables(gt, pred), iou_gate)
 
 
-def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
+def _evaluate_tables(gt: BoxTable, pred: BoxTable, iou_gate: float) -> EvalReport:
+    """evaluate on two tables whose (frame, id) keys do not repeat.
+
+    Rows of a frame must be adjacent; within a frame, gt rows are in
+    identity order and pred rows in the order matching should see them.
+    """
+    _check_gate(iou_gate, len(gt))
     last_pairing: dict[int, int] = {}  # gt identity -> track id of last match
+    overlap = Counter()  # (gt identity, track id) -> frames they overlap at the gate
     fp = fn = idsw = 0
     dist_sum = 0.0
     n_matches = 0
 
-    for gt_ids, pred_ids, ious in frames:
+    for gt_ids, pred_ids, ious in _frame_ious(gt, pred):
         col_of = {tid: j for j, tid in enumerate(pred_ids)}
         pairs = []  # (gt row, pred column)
         free_rows = []
@@ -160,28 +191,11 @@ def _clear_mot(frames, num_gt: int, iou_gate: float) -> ClearMotResult:
             dist_sum += 1.0 - float(ious[i, j])
             n_matches += 1
 
-    motp = dist_sum / n_matches if n_matches else 0.0
-    mota = 1.0 - (fp + fn + idsw) / num_gt
-    return ClearMotResult(mota=mota, motp=motp, fp=fp, fn=fn, idsw=idsw, num_gt=num_gt)
-
-
-def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
-    """(idf1, idp, idr) under a single global identity-to-track assignment.
-
-    Edge weight between a ground-truth identity and a track id is the number
-    of frames in which both appear with box IoU >= iou_gate; the assignment
-    maximizes total overlap. Conventions: empty predictions give idp = 0.
-    """
-    _check_inputs(gt, pred, iou_gate)
-    return _idf1(_frame_ious(*_tables(gt, pred)), len(gt), len(pred), iou_gate)
-
-
-def _idf1(frames, total_gt: int, total_pred: int, iou_gate: float):
-    overlap = Counter()
-    for gt_ids, pred_ids, ious in frames:
         rows, cols = np.nonzero(ious >= iou_gate)
         overlap.update((gt_ids[i], pred_ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+        del ious  # held no longer than its frame
 
+    # IDF1: the identity-to-track assignment of most total overlap.
     idtp = 0
     if overlap:
         identities = sorted({i for i, _ in overlap})
@@ -194,41 +208,16 @@ def _idf1(frames, total_gt: int, total_pred: int, iou_gate: float):
         r, c = linear_sum_assignment(weights, maximize=True)
         idtp = int(weights[r, c].sum())
 
-    idfp = total_pred - idtp
-    idfn = total_gt - idtp
-    f1 = 2.0 * idtp / (2.0 * idtp + idfp + idfn) if (idtp or idfp or idfn) else 0.0
-    idp = idtp / total_pred if total_pred else 0.0
-    idr = idtp / total_gt
-    return f1, idp, idr
-
-
-def evaluate(gt, pred, iou_gate: float = 0.5) -> EvalReport:
-    """Full report: CLEAR-MOT counts plus IDF1 at the same gate.
-
-    Each frame's IoU matrix is built once and read by both.
-    """
-    _check_inputs(gt, pred, iou_gate)
-    return _evaluate_tables(*_tables(gt, pred), iou_gate)
-
-
-def _evaluate_tables(gt: BoxTable, pred: BoxTable, iou_gate: float) -> EvalReport:
-    """evaluate on two tables whose (frame, id) keys do not repeat.
-
-    Rows of a frame must be adjacent; within a frame, gt rows are in
-    identity order and pred rows in the order matching should see them.
-    """
-    _check_gate(iou_gate, len(gt))
-    frames = list(_frame_ious(gt, pred))
-    cm = _clear_mot(frames, len(gt), iou_gate)
-    f1, idp, idr = _idf1(frames, len(gt), len(pred), iou_gate)
+    num_gt, num_pred = len(gt), len(pred)
+    idfp, idfn = num_pred - idtp, num_gt - idtp
     return EvalReport(
-        mota=cm.mota,
-        motp=cm.motp,
-        fp=cm.fp,
-        fn=cm.fn,
-        idsw=cm.idsw,
-        idf1=f1,
-        idp=idp,
-        idr=idr,
-        num_gt=cm.num_gt,
+        mota=1.0 - (fp + fn + idsw) / num_gt,
+        motp=dist_sum / n_matches if n_matches else 0.0,
+        fp=fp,
+        fn=fn,
+        idsw=idsw,
+        idf1=2.0 * idtp / (2.0 * idtp + idfp + idfn) if (idtp or idfp or idfn) else 0.0,
+        idp=idtp / num_pred if num_pred else 0.0,
+        idr=idtp / num_gt,
+        num_gt=num_gt,
     )

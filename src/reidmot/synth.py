@@ -42,6 +42,11 @@ MAX_BASES_CELLS = 2**24
 # num_frames * num_identities: a (frame, identity) keeps a GtEntry and up to one
 # Detection, about 530 bytes plus its embedding: 5.3 GB at embedding_dim 1.
 MAX_RECORD_CELLS = 10_000_000
+# num_frames * num_identities * embedding_dim: the float64 embedding generate
+# copies into each identity's detection, and each float64 matrix
+# write_embeddings builds over the same cells, stay within 1.28 GB; every
+# record still fits at the default embedding_dim of 16.
+MAX_EMBEDDING_CELLS = 16 * MAX_RECORD_CELLS
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
 _SIMILARITY_SLACK = 1e-12
@@ -76,10 +81,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "score_dips", tuple(tuple(d) for d in self.score_dips))
-        object.__setattr__(
-            self, "dropout_windows", tuple(tuple(w) for w in self.dropout_windows)
-        )
+        object.__setattr__(self, "score_dips", _windows(
+            "dip", self.score_dips, "(start_frame, end_frame, identity, dipped_score)"))
+        object.__setattr__(self, "dropout_windows", _windows(
+            "dropout", self.dropout_windows, "(start_frame, end_frame, identity)"))
         if not (0 <= self.num_identities <= MAX_SAMPLING_ATTEMPTS):
             raise ConfigError(f"num_identities must be in [0, {MAX_SAMPLING_ATTEMPTS}]")
         if not (0 <= self.num_frames <= MAX_FRAMES):
@@ -90,6 +95,9 @@ class ScenarioSpec:
             raise ConfigError(f"num_identities * embedding_dim must be at most {MAX_BASES_CELLS}")
         if self.num_frames * self.num_identities > MAX_RECORD_CELLS:
             raise ConfigError(f"num_frames * num_identities must be at most {MAX_RECORD_CELLS}")
+        if self.num_frames * self.num_identities * self.embedding_dim > MAX_EMBEDDING_CELLS:
+            raise ConfigError("num_frames * num_identities * embedding_dim must be at most "
+                              f"{MAX_EMBEDDING_CELLS}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
@@ -119,6 +127,21 @@ class ScenarioSpec:
                 )
         for start, end, identity in self.dropout_windows:
             _check_window("dropout", start, end, identity, self.num_identities)
+
+
+def _windows(kind: str, windows, layout: str) -> tuple:
+    """windows as a tuple of tuples; ConfigError for one whose fields are
+    not those of layout."""
+    fields = layout.count(",") + 1
+    shaped = []
+    for window in windows:
+        try:
+            shaped.append(tuple(window))
+        except TypeError:  # not a sequence at all
+            shaped.append(())
+        if len(shaped[-1]) != fields:
+            raise ConfigError(f"{kind} window {window!r} must have {fields} fields: {layout}")
+    return tuple(shaped)
 
 
 def _check_window(kind: str, start, end, identity, num_identities: int) -> None:

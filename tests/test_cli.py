@@ -1,17 +1,20 @@
 """End-to-end command tests, run in process through main(argv)."""
 
+import argparse
 import itertools
 import pathlib
+import re
 from dataclasses import fields
 
 import pytest
 
 import reidmot.io as seqio
 from reidmot import ScenarioSpec, TrackerConfig, export, generate
-from reidmot.cli import _config_from_args, build_parser, main
+from reidmot.cli import _config_from_args, _exit_code, build_parser, main
 from reidmot.io import load_text, parse_detections, parse_gt
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def _synth(tmp_path, *extra):
@@ -170,6 +173,9 @@ def test_bad_tracker_config_exits_11(tmp_path, capsys):
                    "--tau", tau])
         assert rc == 11
         assert "tau" in capsys.readouterr().err
+    # ConfigError is a ValueError too; a plain one is no bad configuration
+    # but a fault outside every failure class, and exits 1.
+    assert _exit_code(ValueError("not a configuration error")) == 1
 
 
 def test_infeasible_separation_exits_10(tmp_path, capsys):
@@ -398,11 +404,14 @@ def test_synth_size_past_its_bound_exits_11_before_allocating(tmp_path, capsys, 
      "num_identities * embedding_dim must be at most 16777216"),
     (["--num-frames", "1000000", "--num-identities", "100000"],
      "num_frames * num_identities must be at most 10000000"),
+    (["--num-frames", "2000", "--num-identities", "5000", "--embedding-dim", "3000"],
+     "num_frames * num_identities * embedding_dim must be at most 160000000"),
 ])
 def test_synth_size_product_past_its_bound_exits_11_before_allocating(tmp_path, capsys, sizes,
                                                                       allowed):
     # Each size is within its own bound. Unbounded, the first asks for a
-    # 3.05 GiB bases matrix and the second for 10**11 records.
+    # 3.05 GiB bases matrix, the second for 10**11 records and the third for
+    # about 240 GB of embeddings.
     rc = main(["synth", str(tmp_path / "s"), *sizes, "--min-separation", "0"])
     assert rc == 11
     assert allowed in capsys.readouterr().err
@@ -476,3 +485,30 @@ def test_every_track_flag_reaches_its_config_field():
                                    bytetrack_stage2=True)
     assert all(getattr(config, f.name) != getattr(TrackerConfig(), f.name)
                for f in fields(TrackerConfig))
+
+
+def _readme_flag_table() -> dict:
+    """{option: its default cell} from README's "Tracker flags and defaults"."""
+    table = README.read_text(encoding="utf-8").split("Tracker flags and defaults")[1]
+    rows = {}
+    for line in table.split("\n\n")[1].splitlines()[2:]:
+        flags, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.update((option, default) for option in re.findall(r"`(--[\w-]+)`", flags))
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = _readme_flag_table()
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    defaults = {}  # option -> its numeric defaults over the commands that have it
+    for command in ("track", "eval", "nms"):
+        for action in commands[command]._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                assert option in rows, f"README's flag table has no row for {command} {option}"
+                numeric = isinstance(action.default, (int, float)) \
+                    and not isinstance(action.default, bool)
+                defaults.setdefault(option, set()).update([action.default] if numeric else [])
+    for option, stated in defaults.items():
+        numbers = {float(n) for n in re.findall(r"\d+(?:\.\d+)?", rows[option])}
+        assert numbers == stated, f"{option}: README states {rows[option]!r}"

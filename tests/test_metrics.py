@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from reidmot import (
     parse_gt,
 )
 from reidmot.io import _parse_box_table, load_text
+import reidmot.metrics as metrics
 from reidmot.metrics import _evaluate_tables
 
 from oracles import brute_force_assignment, reference_evaluate
@@ -224,6 +227,32 @@ def test_injected_switch_count_is_recovered_exactly():
     assert cm.idsw == 3
     assert cm.fp == 0 and cm.fn == 0
     assert cm.mota == pytest.approx(1.0 - 3 / 240, abs=1e-12)
+
+
+def test_evaluation_holds_one_frame_matrix_at_a_time(monkeypatch):
+    # evaluate's one walk (`_evaluate_tables`) lets each frame's IoU matrix
+    # go once the frame is scored, before the next is built: one is held at
+    # a time, and no list of them outlives the frames.
+    frames = 40
+    g = [gt(f, i, BBox(20 * i, f, 10, 10)) for f in range(1, frames + 1) for i in (1, 2, 3)]
+    p = [out(f, i + 10 * (f > 20), BBox(20 * i + 1, f, 10, 10))
+         for f in range(1, frames + 1) for i in (1, 2, 3)]
+    built = []
+    alive_at_build = []
+    iou_columns = metrics.iou_columns
+
+    def tracked(a, b):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        matrix = iou_columns(a, b)
+        built.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(metrics, "iou_columns", tracked)
+    report = evaluate(g, p)
+    assert len(built) == frames
+    assert max(alive_at_build) == 0
+    assert (report.idsw, report.fp, report.fn) == (3, 0, 0)
 
 
 def test_iou_gate_validation():

@@ -31,6 +31,7 @@ from reidmot.synth import (
     MAX_BASES_CELLS,
     MAX_CLUTTER_RATE,
     MAX_EMBED_NOISE_SIGMA,
+    MAX_EMBEDDING_CELLS,
     MAX_EMBEDDING_DIM,
     MAX_FRAMES,
     MAX_RECORD_CELLS,
@@ -194,6 +195,15 @@ def test_spec_validation():
             ScenarioSpec(score_dips=dips, dropout_windows=windows)
     ScenarioSpec(score_dips=((True, np.int64(3), np.int32(1), 0.5),),
                  dropout_windows=((np.int64(2), 4, True),))
+    # A window of the wrong shape is refused before it is unpacked.
+    for dips, windows, message in (
+            ((), ((1, 2),), r"dropout window \(1, 2\) must have 3 fields"),
+            ((), ((1, 2, 3, 4),), r"dropout window \(1, 2, 3, 4\) must have 3 fields"),
+            ((), (1,), "dropout window 1 must have 3 fields"),
+            (((1, 2, 1),), (), r"dip window \(1, 2, 1\) must have 4 fields"),
+            (((1, 2, 1, 0.5, 0),), (), r"dip window \(1, 2, 1, 0.5, 0\) must have 4 fields")):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioSpec(score_dips=dips, dropout_windows=windows)
     for separation in (-0.1, 2.1):
         with pytest.raises(ConfigError, match=r"min_identity_separation must be in \[0, 2\]"):
             ScenarioSpec(min_identity_separation=separation)
@@ -225,13 +235,15 @@ def test_spec_validation():
         ScenarioSpec(**{name: top})
         with pytest.raises(ConfigError, match=rf"{name} must be in \[\d, {top}\]"):
             ScenarioSpec(**{name: top + 1})
-    # So are the products that size the bases matrix and the records: each
-    # at its bound passes, and one identity more is refused.
+    # So are the products that size the bases matrix, the records and their
+    # embeddings: each at its bound passes, and one identity more is refused.
     for sizes, top, product in (
-            ({"num_identities": 4096, "embedding_dim": 4096}, MAX_BASES_CELLS,
+            ({"num_identities": 4096, "embedding_dim": 4096, "num_frames": 1}, MAX_BASES_CELLS,
              r"num_identities \* embedding_dim"),
             ({"num_identities": 100, "num_frames": 100_000}, MAX_RECORD_CELLS,
-             r"num_frames \* num_identities")):
+             r"num_frames \* num_identities"),
+            ({"num_identities": 1000, "num_frames": 5000, "embedding_dim": 32},
+             MAX_EMBEDDING_CELLS, r"num_frames \* num_identities \* embedding_dim")):
         ScenarioSpec(**sizes)
         sizes["num_identities"] += 1
         with pytest.raises(ConfigError, match=rf"{product} must be at most {top}"):
