@@ -9,6 +9,7 @@ parsers rely on them instead of repeating them.
 
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import index
 
 import numpy as np
 
@@ -273,6 +274,15 @@ class BoxTable:
                    _exact_column([r.class_id for r in records]))
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless operator.index takes value: numpy ints and
+    bools pass, floats, strings and None do not."""
+    try:
+        index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 # Largest history window. The tracker's store keeps tau + 1 scores and
 # tau + 1 embedding rows per live track, so its memory grows with tau.
 MAX_TAU = 10_000
@@ -306,6 +316,8 @@ class TrackerConfig:
                 "need 0 <= low_thresh <= high_thresh <= 1, got "
                 f"low={self.low_thresh} high={self.high_thresh}"
             )
+        for name in ("tau", "max_lost_age"):
+            check_integer(name, getattr(self, name))
         if not 1 <= self.tau <= MAX_TAU:
             raise ConfigError(f"tau must be in [1, {MAX_TAU}], got {self.tau}")
         if self.max_lost_age < 0:
@@ -320,5 +332,7 @@ class TrackerConfig:
             raise ConfigError(
                 f"min_init_score must be in [0, 1], got {self.min_init_score}"
             )
-        if self.embedding_dim is not None and self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        if self.embedding_dim is not None:
+            check_integer("embedding_dim", self.embedding_dim)
+            if self.embedding_dim < 1:
+                raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")

@@ -16,7 +16,7 @@ from operator import index
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry
+from .core import BBox, Detection, FrameInput, GtEntry, check_integer
 from .errors import ConfigError, SeparationInfeasibleError
 from .io import SequenceBundle, save_text, write_detections, write_embeddings, write_gt
 
@@ -39,13 +39,14 @@ MAX_FRAMES = 1_000_000
 MAX_EMBEDDING_DIM = 4096
 # num_identities * embedding_dim: the float64 bases matrix stays within 128 MiB.
 MAX_BASES_CELLS = 2**24
-# num_frames * num_identities: a (frame, identity) keeps a GtEntry and up to one
-# Detection, about 530 bytes plus its embedding: 5.3 GB at embedding_dim 1.
+# num_frames * num_identities, with clutter_rate counted as identities: a
+# (frame, identity) keeps a GtEntry and up to one Detection, about 530 bytes
+# plus its embedding, and a clutter draw keeps less: 5.3 GB at embedding_dim 1.
 MAX_RECORD_CELLS = 10_000_000
-# num_frames * num_identities * embedding_dim: the float64 embedding generate
-# copies into each identity's detection, and each float64 matrix
-# write_embeddings builds over the same cells, stay within 1.28 GB; every
-# record still fits at the default embedding_dim of 16.
+# num_frames * num_identities * embedding_dim, clutter_rate counted likewise:
+# the float64 embedding generate copies into each detection, and each float64
+# matrix write_embeddings builds over the same cells, stay within 1.28 GB;
+# every record still fits at the default embedding_dim of 16.
 MAX_EMBEDDING_CELLS = 16 * MAX_RECORD_CELLS
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
@@ -85,19 +86,14 @@ class ScenarioSpec:
             "dip", self.score_dips, "(start_frame, end_frame, identity, dipped_score)"))
         object.__setattr__(self, "dropout_windows", _windows(
             "dropout", self.dropout_windows, "(start_frame, end_frame, identity)"))
+        for name in ("num_identities", "num_frames", "embedding_dim", "seed"):
+            check_integer(name, getattr(self, name))
         if not (0 <= self.num_identities <= MAX_SAMPLING_ATTEMPTS):
             raise ConfigError(f"num_identities must be in [0, {MAX_SAMPLING_ATTEMPTS}]")
         if not (0 <= self.num_frames <= MAX_FRAMES):
             raise ConfigError(f"num_frames must be in [0, {MAX_FRAMES}]")
         if not (1 <= self.embedding_dim <= MAX_EMBEDDING_DIM):
             raise ConfigError(f"embedding_dim must be in [1, {MAX_EMBEDDING_DIM}]")
-        if self.num_identities * self.embedding_dim > MAX_BASES_CELLS:
-            raise ConfigError(f"num_identities * embedding_dim must be at most {MAX_BASES_CELLS}")
-        if self.num_frames * self.num_identities > MAX_RECORD_CELLS:
-            raise ConfigError(f"num_frames * num_identities must be at most {MAX_RECORD_CELLS}")
-        if self.num_frames * self.num_identities * self.embedding_dim > MAX_EMBEDDING_CELLS:
-            raise ConfigError("num_frames * num_identities * embedding_dim must be at most "
-                              f"{MAX_EMBEDDING_CELLS}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ConfigError("dropout_prob must be in [0, 1]")
         if not (0.0 <= self.min_identity_separation <= 2.0):
@@ -107,10 +103,27 @@ class ScenarioSpec:
                               f"[0, {MAX_EMBED_NOISE_SIGMA:g}]")
         if not (0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE):
             raise ConfigError(f"clutter_rate must be finite and in [0, {MAX_CLUTTER_RATE:g}]")
+        # The products come after their fields, so a bad field gets its own
+        # message. A clutter detection costs what an identity's does.
+        per_frame = self.num_identities + self.clutter_rate
+        if self.num_identities * self.embedding_dim > MAX_BASES_CELLS:
+            raise ConfigError(f"num_identities * embedding_dim must be at most {MAX_BASES_CELLS}")
+        if self.num_frames * per_frame > MAX_RECORD_CELLS:
+            raise ConfigError(f"num_frames * num_identities must be at most {MAX_RECORD_CELLS}, "
+                              "counting clutter_rate as identities")
+        if self.num_frames * per_frame * self.embedding_dim > MAX_EMBEDDING_CELLS:
+            raise ConfigError("num_frames * num_identities * embedding_dim must be at most "
+                              f"{MAX_EMBEDDING_CELLS}, counting clutter_rate as identities")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.low_thresh < self.high_thresh <= 1.0):
             raise ConfigError("need 0 <= low_thresh < high_thresh <= 1")
+        try:
+            sides = len(self.arena)
+        except TypeError:
+            sides = None
+        if sides != 2:
+            raise ConfigError(f"arena must be (width, height), got {self.arena!r}")
         if not all(isfinite(side) for side in self.arena):
             raise ConfigError(f"arena sides must be finite, got {self.arena}")
         if min(self.arena) < BOX_SIZE + MAX_SPEED:
@@ -134,6 +147,11 @@ def _windows(kind: str, windows, layout: str) -> tuple:
     not those of layout."""
     fields = layout.count(",") + 1
     shaped = []
+    try:
+        windows = iter(windows)
+    except TypeError:
+        raise ConfigError(f"{kind} windows must be a sequence of {layout}, "
+                          f"got {windows!r}") from None
     for window in windows:
         try:
             shaped.append(tuple(window))

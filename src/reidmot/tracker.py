@@ -367,11 +367,6 @@ def build_cost_matrix(tracks, detections, per_class: bool = False) -> np.ndarray
                              np.array([d.class_id for d in detections]))
 
 
-def _index(values) -> np.ndarray:
-    """A tuple of indices as an intp array (an empty tuple would index everything)."""
-    return np.array(values, dtype=np.intp)
-
-
 @dataclass
 class StepStats:
     """Association tallies of one frame, kept as Tracker.last_stats."""
@@ -408,41 +403,50 @@ class Tracker:
         # Codes only ever compare, so one a rejected frame added is harmless.
         self._class_codes: dict = {}
 
-    def _stage_costs(self, slots: np.ndarray, cols: np.ndarray, embs: np.ndarray,
-                     class_codes: np.ndarray) -> np.ndarray:
-        """The cost matrix of the tracks on `slots` against the frame's rows `cols`."""
-        feats = self._store.feat[slots]
-        if not self.config.per_class:
-            return _appearance_costs(feats, embs[cols])
-        return _appearance_costs(feats, embs[cols], self._store.class_code[slots],
-                                 class_codes[cols])
+    def _stage(self, slots: np.ndarray, cols: np.ndarray, gate: float, embs: np.ndarray,
+               class_codes: np.ndarray):
+        """One association stage: the tracks on `slots` against the frame's rows `cols`.
+
+        The slots' feature rows are costed against the rows' embeddings
+        (class-gated with per_class), costs above 1 - gate are FORBIDDEN,
+        and solve_assignment matches them. Returns (matched slots, their
+        rows, unmatched slots, unmatched rows) as intp arrays.
+        """
+        store = self._store
+        classes = (store.class_code[slots], class_codes[cols]) if self.config.per_class else ()
+        res = solve_assignment(gate_costs(
+            _appearance_costs(store.feat[slots], embs[cols], *classes), 1.0 - gate))
+        # The dtype keeps an empty tuple from indexing everything.
+        pairs = np.array(res.matches, dtype=np.intp).reshape(-1, 2)
+        return (slots[pairs[:, 0]], cols[pairs[:, 1]],
+                slots[np.array(res.unmatched_rows, dtype=np.intp)],
+                cols[np.array(res.unmatched_cols, dtype=np.intp)])
 
     def step(self, frame_input: FrameInput) -> list[TrackOutput]:
         """Advance one frame; return the outputs of every matched or founded track.
 
-        Per frame: split detections into score bands; stage 1 assigns
-        high-band detections to all live (active or lost) tracks under the
-        high similarity gate; stage 2 assigns the pool of leftover high-band
-        plus low-band detections to the remaining tracks under the low gate
-        (with bytetrack_stage2 the pool is the low band only). Matched tracks
-        absorb their detection; unmatched tracks age and eventually drop off;
-        unmatched high-band detections above min_init_score found new tracks.
-        Low-band detections never found tracks.
+        Per frame: split detections into score bands, then apply one stage
+        rule (_stage) twice. Stage 1 assigns the high band to all live
+        (active or lost) tracks under the high similarity gate. Stage 2
+        assigns the high-band rows stage 1 left (none with bytetrack_stage2)
+        plus the low band to the tracks stage 1 left, under the low gate.
+        Matched tracks absorb their detection; unmatched tracks age and
+        eventually drop off. The founders are the confident rows no stage
+        claimed: high-band detections at or above min_init_score, in frame
+        order. Low-band detections never found tracks.
 
         This is the one place a track is founded, updated and aged, and it
         works on arrays: the frame's embeddings, scores and class ids are
-        stacked once, the bands are index arrays into them, and each
-        stage's costs are the store's feature rows of the live slots
-        against the stage's embedding rows. Each matched detection is
-        written into the spare position of its track's slot, the features
-        of those windows are computed in one batched pass (see
-        _HistoryStore.features) and a founder's from its one detection, and
-        only then are the windows advanced, the feature rows written and the
-        unmatched tracks aged; a removed track gives its slot back, and the
-        founders take slots last, so the store never holds more slots than
-        the most tracks live after a step. The outputs are built in
-        track-id order. The work is proportional to the live tracks, not to
-        every track ever founded.
+        stacked once and the bands and stages hold index arrays into them.
+        Each matched detection is written into the spare position of its
+        track's slot, the features of those windows are computed in one
+        batched pass (see _HistoryStore.features) and a founder's from its
+        one detection, and only then are the windows advanced, the feature
+        rows written and the unmatched tracks aged; a removed track gives
+        its slot back, and the founders take slots last, so the store never
+        holds more slots than the most tracks live after a step. The outputs
+        are built in track-id order. The work is proportional to the live
+        tracks, not to every track ever founded.
 
         The embeddings are used as given, so they should be unit-norm (see
         normalize_embedding); core.embedding_dim checks their shapes. The
@@ -472,28 +476,21 @@ class Tracker:
 
         # Stage 1: confident detections against every live track. Lost tracks
         # compete on equal footing, their feature frozen from the last match.
-        res1 = solve_assignment(gate_costs(
-            self._stage_costs(live, high, embs, class_codes), 1.0 - cfg.sim_gate_high))
-        pairs1 = _index(res1.matches).reshape(-1, 2)
-        remaining = live[_index(res1.unmatched_rows)]
-        unmatched_high = high[_index(res1.unmatched_cols)]
-
-        # Stage 2: the leftovers. Carried unmatched confident detections get a
-        # second chance under the looser gate; bytetrack_stage2 carries none.
+        slots1, cols1, remaining, unmatched_high = self._stage(
+            live, high, cfg.sim_gate_high, embs, class_codes)
+        # Stage 2: the tracks left, under the looser gate. Unmatched confident
+        # detections are carried to it; bytetrack_stage2 carries none.
         carried = unmatched_high[:0] if cfg.bytetrack_stage2 else unmatched_high
-        pool = np.concatenate([carried, low])
-        res2 = solve_assignment(gate_costs(
-            self._stage_costs(remaining, pool, embs, class_codes), 1.0 - cfg.sim_gate_low))
-        pairs2 = _index(res2.matches).reshape(-1, 2)
-        slots = np.concatenate([live[pairs1[:, 0]], remaining[pairs2[:, 0]]])
-        cols = np.concatenate([high[pairs1[:, 1]], pool[pairs2[:, 1]]])
+        slots2, cols2, unmatched, _ = self._stage(
+            remaining, np.concatenate([carried, low]), cfg.sim_gate_low, embs, class_codes)
+        slots = np.concatenate([slots1, slots2])
+        cols = np.concatenate([cols1, cols2])
 
-        # Founding: only confident leftovers above the init floor. The low
-        # band can sustain tracks but never create them.
-        unmatched_pool = _index(res2.unmatched_cols)
-        leftovers = np.concatenate([unmatched_high[len(carried):],
-                                    pool[unmatched_pool[unmatched_pool < len(carried)]]])
-        founders = leftovers[scores[leftovers] >= cfg.min_init_score]
+        # Founding: the confident rows no stage claimed, above the init floor.
+        # The low band can sustain tracks but never create them.
+        unclaimed = np.ones(len(dets), dtype=bool)
+        unclaimed[cols] = False
+        founders = high[unclaimed[high] & (scores[high] >= cfg.min_init_score)]
 
         # The features of the windows this frame would leave, computed before
         # any state changes: a matched track's observation is staged outside
@@ -505,7 +502,7 @@ class Tracker:
         self._last_frame = frame
         self._dim = dim
         store.advance(slots, features, detected[cols])
-        store.since[remaining[_index(res2.unmatched_rows)]] += 1
+        store.since[unmatched] += 1
         # The removal mask is taken before the founders open slots, which
         # may be the ones the removed tracks give back.
         gone = store.since[live] > cfg.max_lost_age
@@ -531,8 +528,8 @@ class Tracker:
             cols = np.concatenate([cols, founders])
         self.live_tracks = live_tracks
         self._live_slots = live
-        self.last_stats = StepStats(frame=frame, matched_stage1=len(pairs1),
-                                    matched_stage2=len(pairs2), spawned=len(founders),
+        self.last_stats = StepStats(frame=frame, matched_stage1=len(slots1),
+                                    matched_stage2=len(slots2), spawned=len(founders),
                                     removed=int(gone.sum()))
 
         # Stage-2 matches can hold lower ids than stage-1 ones.

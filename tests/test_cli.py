@@ -10,7 +10,7 @@ import pytest
 
 import reidmot.io as seqio
 from reidmot import ScenarioSpec, TrackerConfig, export, generate
-from reidmot.cli import _config_from_args, _exit_code, build_parser, main
+from reidmot.cli import EXIT_CODES, _config_from_args, _exit_code, build_parser, main
 from reidmot.io import load_text, parse_detections, parse_gt
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -512,3 +512,12 @@ def test_readme_flag_table_matches_the_parser():
     for option, stated in defaults.items():
         numbers = {float(n) for n in re.findall(r"\d+(?:\.\d+)?", rows[option])}
         assert numbers == stated, f"{option}: README states {rows[option]!r}"
+
+
+def test_readme_exit_codes_match_the_cli():
+    """README's "Exit codes:" paragraph states 0, 1, 2 and each code of
+    EXIT_CODES, each once, and no other."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("Exit codes:")[1].split("\n\n")[0]
+    stated = [int(n) for n in re.findall(r"\b\d+\b", paragraph)]
+    assert sorted(stated) == sorted({0, 1, 2} | {code for _, code in EXIT_CODES})

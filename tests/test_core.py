@@ -10,6 +10,7 @@ from reidmot import (
     DimensionMismatchError,
     FrameInput,
     GtEntry,
+    Tracker,
     TrackerConfig,
     ZeroNormError,
     cosine_similarity,
@@ -247,6 +248,15 @@ def test_config_validation():
         TrackerConfig(min_init_score=2.0)
     with pytest.raises(ConfigError, match="embedding_dim must be >= 1, got 0"):
         TrackerConfig(embedding_dim=0)
+    # The integer fields take what operator.index does: numpy ints and True
+    # pass, a float is refused before the tracker sizes its store with it.
+    for name in ("tau", "max_lost_age", "embedding_dim"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got 2.5"):
+            TrackerConfig(**{name: 2.5})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got '3'"):
+            TrackerConfig(**{name: "3"})
+        Tracker(TrackerConfig(**{name: np.int64(3)}))
+        Tracker(TrackerConfig(**{name: True}))
     # collapsing the low band onto the high threshold is allowed
     cfg = TrackerConfig(low_thresh=0.84, high_thresh=0.84)
     assert cfg.low_thresh == cfg.high_thresh

@@ -228,7 +228,24 @@ def test_spec_validation():
         ScenarioSpec(clutter_rate=1e300)
     with pytest.raises(ConfigError, match="embed_noise_sigma must be"):
         ScenarioSpec(embed_noise_sigma=1e300)
-    ScenarioSpec(clutter_rate=MAX_CLUTTER_RATE, embed_noise_sigma=MAX_EMBED_NOISE_SIGMA)
+    ScenarioSpec(clutter_rate=MAX_CLUTTER_RATE, embed_noise_sigma=MAX_EMBED_NOISE_SIGMA,
+                 num_frames=0)
+    # Sizes and the seed are integers as operator.index takes them: numpy
+    # ints and True pass, a float is refused before generate sees it.
+    for name, bad in (("num_frames", 2.5), ("num_identities", 2.5), ("embedding_dim", 2.5),
+                      ("seed", 1.5), ("num_frames", "3"), ("seed", None)):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {bad!r}"):
+            ScenarioSpec(**{name: bad})
+    ScenarioSpec(num_frames=np.int64(3), num_identities=np.int32(2), embedding_dim=True,
+                 seed=np.uint64(4))
+    # The arena is a (width, height) pair.
+    for arena in ((100.0,), (100.0, 100.0, 100.0), (), 100.0):
+        with pytest.raises(ConfigError, match=r"arena must be \(width, height\)"):
+            ScenarioSpec(arena=arena)
+    # A window list that is no sequence at all is refused too.
+    for kind, windows in (("dip", {"score_dips": 5}), ("dropout", {"dropout_windows": 5})):
+        with pytest.raises(ConfigError, match=f"{kind} windows must be a sequence of"):
+            ScenarioSpec(**windows)
     # The sizes are bounded before generate allocates anything.
     for name, top in (("num_identities", MAX_SAMPLING_ATTEMPTS), ("num_frames", MAX_FRAMES),
                       ("embedding_dim", MAX_EMBEDDING_DIM)):
@@ -248,6 +265,22 @@ def test_spec_validation():
         sizes["num_identities"] += 1
         with pytest.raises(ConfigError, match=rf"{product} must be at most {top}"):
             ScenarioSpec(**sizes)
+    # Clutter detections count as identities in the record and embedding
+    # products: each at its bound passes, and one more clutter draw per
+    # frame is refused, without a frame generated.
+    for sizes, top, product in (
+            ({"num_identities": 40, "clutter_rate": 60.0, "num_frames": 100_000},
+             MAX_RECORD_CELLS, r"num_frames \* num_identities"),
+            ({"num_identities": 500, "clutter_rate": 500.0, "num_frames": 5000,
+              "embedding_dim": 32}, MAX_EMBEDDING_CELLS,
+             r"num_frames \* num_identities \* embedding_dim")):
+        ScenarioSpec(**sizes)
+        sizes["clutter_rate"] += 1
+        with pytest.raises(ConfigError, match=rf"{product} must be at most {top}, "
+                                              "counting clutter_rate as identities"):
+            ScenarioSpec(**sizes)
+    with pytest.raises(ConfigError, match=r"num_frames \* num_identities must be at most"):
+        ScenarioSpec(clutter_rate=1e9)
 
 
 def test_noise_free_bundle_tracks_perfectly():

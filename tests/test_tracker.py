@@ -703,6 +703,42 @@ def test_no_view_of_the_pool_leaves_the_store():
             (e.tobytes(), s) for e, s in want_history]
 
 
+@pytest.mark.parametrize("bytetrack_stage2", [False, True])
+def test_each_step_solves_stage_1_then_stage_2(monkeypatch, bytetrack_stage2):
+    # Each step makes exactly two solves, empty matrices included: stage 1
+    # of the live tracks against the high band, then stage 2 of the tracks
+    # stage 1 left against the carried high-band rows plus the low band.
+    import reidmot.tracker as tracker_module
+
+    shapes = []
+    solve = tracker_module.solve_assignment
+    monkeypatch.setattr(tracker_module, "solve_assignment",
+                        lambda costs: shapes.append(costs.shape) or solve(costs))
+    cfg = TrackerConfig(high_thresh=0.8, low_thresh=0.4, sim_gate_high=0.8,
+                        sim_gate_low=0.3, max_lost_age=1, per_class=False,
+                        bytetrack_stage2=bytetrack_stage2)
+    a, b, c, d = np.eye(4)
+    frames = [
+        [],
+        [(0.9, a), (0.9, b)],
+        [(0.9, a), (0.5, b), (0.9, c), (0.9, a + 0.8 * d)],
+        [],
+        [(0.5, a), (0.9, b + c), (0.9, d), (0.2, c)],
+        [(0.9, a), (0.9, b), (0.9, c), (0.5, d)],
+    ]
+    tracker = Tracker(cfg)
+    for f, sightings in enumerate(frames, start=1):
+        high = sum(score >= cfg.high_thresh for score, _ in sightings)
+        low = sum(cfg.low_thresh <= score < cfg.high_thresh for score, _ in sightings)
+        live = len(tracker.live_tracks)
+        shapes.clear()
+        tracker.step(FrameInput(frame=f, detections=tuple(
+            det(f, score, emb / np.linalg.norm(emb)) for score, emb in sightings)))
+        matched = tracker.last_stats.matched_stage1
+        carried = 0 if bytetrack_stage2 else high - matched
+        assert shapes == [(live, high), (live - matched, carried + low)], f"frame {f}"
+
+
 # Scores on and either side of both band edges (low 0.4, high 0.8) and of the
 # 0.9 init floor some scenarios set.
 SCENARIO_SCORES = [0.1, 0.4, 0.6, 0.8, 0.9, 1.0]
