@@ -6,6 +6,12 @@ finite cost the solver could trade away), rectangular inputs, maximum-cardinalit
 -then-minimum-cost optimality with totals compared exactly, and one
 deterministic choice among the optima: the lexicographically smallest
 row-sorted pair list.
+
+solve_assignment leaves at the first of four exits that settles the matrix:
+forced (each row and each column admits at most one entry, so those entries
+are the only optimum and no solve runs), one solve (no lower entry could
+give a smaller optimum), a check solve (one that would find such an optimum
+returns the first), and otherwise _fix_rows, one row at a time.
 """
 
 import math
@@ -42,9 +48,10 @@ def gate_costs(costs: np.ndarray, max_cost: float) -> np.ndarray:
 def _validate(costs: np.ndarray) -> np.ndarray:
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {costs.shape}")
-    if np.any(np.isnan(costs)):
-        raise ValueError("cost matrix contains NaN")
-    if np.any(costs < 0):
+    # min propagates NaN, so one pass finds NaN and negative entries alike.
+    if costs.size and not costs.min() >= 0:
+        if np.any(np.isnan(costs)):
+            raise ValueError("cost matrix contains NaN")
         raise ValueError("costs must be non-negative (FORBIDDEN is +inf)")
     return costs != FORBIDDEN
 
@@ -96,6 +103,41 @@ def _fix_rows(costs: np.ndarray, allowed: np.ndarray, pairs, key):
     return pairs
 
 
+def _forced(allowed: np.ndarray):
+    """The entries of `allowed` as (rows, cols) index arrays, in row order,
+    when every row and every column holds at most one; else None."""
+    rows, cols = allowed.shape
+    if not cols:
+        return np.empty((2, 0), dtype=np.intp)
+    first = allowed.argmax(1)
+    r = np.flatnonzero(allowed[np.arange(rows), first])
+    c = first[r]
+    col_hit = np.zeros(cols, dtype=bool)
+    col_hit[c] = True
+    # Each hit row holds one entry iff the hits count every entry, and the
+    # hits use distinct columns iff they mark as many columns as rows.
+    if np.count_nonzero(allowed) == len(r) == np.count_nonzero(col_hit):
+        return r, c
+    return None
+
+
+def _result(costs: np.ndarray, r: np.ndarray, c: np.ndarray) -> AssignmentResult:
+    """The result of matching rows `r` (ascending) to columns `c`."""
+    free_r = np.ones(costs.shape[0], dtype=bool)
+    free_r[r] = False
+    free_c = np.ones(costs.shape[1], dtype=bool)
+    free_c[c] = False
+    return AssignmentResult(
+        matches=tuple(zip(r.tolist(), c.tolist())),
+        unmatched_rows=tuple(np.flatnonzero(free_r).tolist()),
+        unmatched_cols=tuple(np.flatnonzero(free_c).tolist()),
+        # np.float64 scalars added one at a time in row order: neither
+        # np.sum's pairwise sum nor a compensated float sum, so totals are
+        # reproducible
+        total_cost=float(sum(costs[r, c])),
+    )
+
+
 def solve_assignment(costs: np.ndarray) -> AssignmentResult:
     """Optimal matching of rows to columns under FORBIDDEN constraints.
 
@@ -105,9 +147,18 @@ def solve_assignment(costs: np.ndarray) -> AssignmentResult:
     lexicographically smallest: the lowest row that can be matched is, and
     to its lowest possible column, then the next row, and so on. Rows and
     columns left over are reported unmatched.
+
+    The exits, in order: a forced matrix (at most one admissible entry in
+    each row and each column) returns its entries without a solve, since
+    every matching is a subset of them; otherwise one solve, kept when no
+    lower entry exists; then a check solve, kept when it returns the same
+    pairs; then _fix_rows.
     """
     costs = np.asarray(costs, dtype=np.float64)
     allowed = _validate(costs)
+    forced = _forced(allowed)
+    if forced is not None:
+        return _result(costs, *forced)
     rows, cols = costs.shape
     pairs, key = _solve(costs, allowed)
 
@@ -126,12 +177,4 @@ def solve_assignment(costs: np.ndarray) -> AssignmentResult:
         if _solve(np.where(lower, costs, costs + eps), allowed)[0] != pairs:
             pairs = _fix_rows(costs, allowed, pairs, key)
 
-    matched_r = {i for i, _ in pairs}
-    matched_c = {j for _, j in pairs}
-    return AssignmentResult(
-        matches=tuple(pairs),
-        unmatched_rows=tuple(i for i in range(rows) if i not in matched_r),
-        unmatched_cols=tuple(j for j in range(cols) if j not in matched_c),
-        # row-ascending accumulation keeps totals reproducible
-        total_cost=float(sum(costs[i, j] for i, j in pairs)),
-    )
+    return _result(costs, *np.array(pairs, dtype=np.intp).reshape(-1, 2).T)

@@ -9,6 +9,7 @@ parsers rely on them instead of repeating them.
 
 from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Real
 from operator import index
 
 import numpy as np
@@ -283,6 +284,14 @@ def check_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number (numbers.Real): numpy
+    floats and ints and bools pass, strings and None do not. NaN passes;
+    the range checks that follow refuse it."""
+    if not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 # Largest history window. The tracker's store keeps tau + 1 scores and
 # tau + 1 embedding rows per live track, so its memory grows with tau.
 MAX_TAU = 10_000
@@ -311,6 +320,12 @@ class TrackerConfig:
     bytetrack_stage2: bool = False
 
     def __post_init__(self):
+        for name in ("high_thresh", "low_thresh", "sim_gate_high", "sim_gate_low"):
+            check_real(name, getattr(self, name))
+        for name in ("per_class", "bytetrack_stage2"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be True or False, got {flag!r}")
         if not (0.0 <= self.low_thresh <= self.high_thresh <= 1.0):
             raise ConfigError(
                 "need 0 <= low_thresh <= high_thresh <= 1, got "
@@ -328,6 +343,7 @@ class TrackerConfig:
                 raise ConfigError(f"{name} must be in [-1, 1], got {v}")
         if self.min_init_score is None:
             object.__setattr__(self, "min_init_score", self.high_thresh)
+        check_real("min_init_score", self.min_init_score)
         if not (0.0 <= self.min_init_score <= 1.0):
             raise ConfigError(
                 f"min_init_score must be in [0, 1], got {self.min_init_score}"

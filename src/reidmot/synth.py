@@ -16,7 +16,7 @@ from operator import index
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry, check_integer
+from .core import BBox, Detection, FrameInput, GtEntry, check_integer, check_real
 from .errors import ConfigError, SeparationInfeasibleError
 from .io import SequenceBundle, save_text, write_detections, write_embeddings, write_gt
 
@@ -88,6 +88,9 @@ class ScenarioSpec:
             "dropout", self.dropout_windows, "(start_frame, end_frame, identity)"))
         for name in ("num_identities", "num_frames", "embedding_dim", "seed"):
             check_integer(name, getattr(self, name))
+        for name in ("embed_noise_sigma", "min_identity_separation", "dropout_prob",
+                     "clutter_rate", "low_thresh", "high_thresh"):
+            check_real(name, getattr(self, name))
         if not (0 <= self.num_identities <= MAX_SAMPLING_ATTEMPTS):
             raise ConfigError(f"num_identities must be in [0, {MAX_SAMPLING_ATTEMPTS}]")
         if not (0 <= self.num_frames <= MAX_FRAMES):
@@ -124,6 +127,8 @@ class ScenarioSpec:
             sides = None
         if sides != 2:
             raise ConfigError(f"arena must be (width, height), got {self.arena!r}")
+        for side in self.arena:
+            check_real("arena side", side)
         if not all(isfinite(side) for side in self.arena):
             raise ConfigError(f"arena sides must be finite, got {self.arena}")
         if min(self.arena) < BOX_SIZE + MAX_SPEED:
@@ -133,6 +138,7 @@ class ScenarioSpec:
             )
         for start, end, identity, score in self.score_dips:
             _check_window("dip", start, end, identity, self.num_identities)
+            check_real("dipped score", score)
             if not (self.low_thresh <= score < self.high_thresh):
                 raise ConfigError(
                     f"dipped score {score} must lie in the low band "

@@ -174,3 +174,90 @@ def test_constant_shift_keeps_argmin():
         shifted = solve_assignment(costs + 0.75)
         assert shifted.matches == res.matches
         assert shifted.total_cost == pytest.approx(res.total_cost + 5 * 0.75, abs=1e-9)
+
+
+def _full_result(costs):
+    """brute_force_assignment's optimum as (matches, unmatched rows, unmatched
+    cols, total_cost) for the cost array `costs`."""
+    _, total, pairs = brute_force_assignment(costs.tolist())
+    rows, cols = costs.shape
+    matched_r, matched_c = {i for i, _ in pairs}, {j for _, j in pairs}
+    return (tuple(pairs), tuple(i for i in range(rows) if i not in matched_r),
+            tuple(j for j in range(cols) if j not in matched_c), total)
+
+
+def _fields(res):
+    return res.matches, res.unmatched_rows, res.unmatched_cols, res.total_cost
+
+
+def test_forced_matrices_match_brute_force():
+    # A partial-permutation mask admits at most one entry per row and per
+    # column: those entries are the only maximum matching, which the forced
+    # exit returns without a solve. Uniform and exactly tied costs alike.
+    rng = np.random.default_rng(77)
+    for trial in range(400):
+        rows, cols = (int(n) for n in rng.integers(0, 7, size=2))
+        if trial % 2:
+            costs = rng.uniform(0.0, 1.0, (rows, cols))
+        else:
+            costs = rng.integers(0, 3, (rows, cols)).astype(float)
+        k = min(rows, cols)
+        keep = rng.random(k) < rng.uniform(0.0, 1.0)
+        r, c = rng.permutation(rows)[:k][keep], rng.permutation(cols)[:k][keep]
+        forced = np.full((rows, cols), FORBIDDEN)
+        forced[r, c] = costs[r, c]
+        res = solve_assignment(forced)
+        want = _full_result(forced)
+        assert _fields(res) == want, forced
+        assert np.float64(res.total_cost).tobytes() == np.float64(want[3]).tobytes()
+
+
+@pytest.mark.parametrize("costs, matches", [
+    (np.full((3, 4), FORBIDDEN), ()),
+    (np.array([[FORBIDDEN, FORBIDDEN], [FORBIDDEN, 0.5]]), ((1, 1),)),  # empty row 0
+    (np.array([[FORBIDDEN, 0.5], [0.25, FORBIDDEN], [FORBIDDEN, FORBIDDEN]]),
+     ((0, 1), (1, 0))),  # empty row 2
+    (np.array([[FORBIDDEN, 0.5, FORBIDDEN], [0.25, FORBIDDEN, FORBIDDEN]]),
+     ((0, 1), (1, 0))),  # empty column 2
+    (np.zeros((0, 4)), ()),
+    (np.zeros((4, 0)), ()),
+    (np.array([[0.75]]), ((0, 0),)),
+    (np.array([[FORBIDDEN]]), ()),
+])
+def test_forced_edge_cases(costs, matches):
+    res = solve_assignment(costs)
+    assert _fields(res) == _full_result(costs)
+    assert res.matches == matches
+
+
+@pytest.mark.parametrize("costs", [
+    np.array([[0.5, 0.25], [FORBIDDEN, FORBIDDEN]]),  # one row with two entries
+    np.array([[0.5, FORBIDDEN], [0.25, FORBIDDEN]]),  # one column with two entries
+])
+def test_near_forced_matrices_are_solved(monkeypatch, costs):
+    import reidmot.assign as assign
+
+    solves = []
+    solve = assign._solve
+    monkeypatch.setattr(assign, "_solve", lambda *args: solves.append(1) or solve(*args))
+    res = solve_assignment(costs)
+    assert solves
+    assert _fields(res) == _full_result(costs)
+
+
+def test_forced_matrices_never_reach_the_solver(monkeypatch):
+    import reidmot.assign as assign
+
+    def refuse(costs, allowed):
+        raise AssertionError("a forced matrix reached _solve")
+
+    monkeypatch.setattr(assign, "_solve", refuse)
+    rng = np.random.default_rng(5)
+    costs = np.full((250, 240), FORBIDDEN)
+    r, c = rng.permutation(250)[:230], rng.permutation(240)[:230]
+    costs[r, c] = rng.uniform(0.0, 1.0, 230)
+    res = solve_assignment(costs)
+    assert res.matches == tuple(sorted(zip(r.tolist(), c.tolist())))
+    assert len(res.unmatched_rows) == 20 and len(res.unmatched_cols) == 10
+    with pytest.raises(AssertionError, match="reached _solve"):
+        solve_assignment(np.ones((2, 2)))

@@ -257,6 +257,19 @@ def test_config_validation():
             TrackerConfig(**{name: "3"})
         Tracker(TrackerConfig(**{name: np.int64(3)}))
         Tracker(TrackerConfig(**{name: True}))
+    # The real-valued fields take numbers only: a string or None is refused
+    # before a comparison could raise a bare TypeError.
+    for name, bad in (("high_thresh", "0.9"), ("low_thresh", None), ("sim_gate_high", "x"),
+                      ("sim_gate_low", None), ("min_init_score", "0.9")):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number, got {bad!r}"):
+            TrackerConfig(**{name: bad})
+    TrackerConfig(high_thresh=np.float32(0.9), sim_gate_low=np.int64(0), min_init_score=1)
+    # The two flags are real bools, so a truthy string is not taken as True.
+    for name in ("per_class", "bytetrack_stage2"):
+        for bad in ("no", 1, None):
+            with pytest.raises(ConfigError, match=f"{name} must be True or False, got {bad!r}"):
+                TrackerConfig(**{name: bad})
+        TrackerConfig(**{name: np.bool_(False)})
     # collapsing the low band onto the high threshold is allowed
     cfg = TrackerConfig(low_thresh=0.84, high_thresh=0.84)
     assert cfg.low_thresh == cfg.high_thresh

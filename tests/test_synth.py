@@ -238,6 +238,20 @@ def test_spec_validation():
             ScenarioSpec(**{name: bad})
     ScenarioSpec(num_frames=np.int64(3), num_identities=np.int32(2), embedding_dim=True,
                  seed=np.uint64(4))
+    # The real-valued fields take numbers only: a string or None is refused
+    # before a comparison could raise a bare TypeError.
+    for name, bad in (("dropout_prob", "x"), ("clutter_rate", None), ("embed_noise_sigma", "0"),
+                      ("min_identity_separation", None), ("low_thresh", "0.3"),
+                      ("high_thresh", None)):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number, got {bad!r}"):
+            ScenarioSpec(**{name: bad})
+    for arena in (("a", "b"), (1280.0, None)):
+        with pytest.raises(ConfigError, match="arena side must be a real number"):
+            ScenarioSpec(arena=arena)
+    with pytest.raises(ConfigError, match="dipped score must be a real number, got 'x'"):
+        ScenarioSpec(score_dips=((1, 5, 1, "x"),))
+    ScenarioSpec(dropout_prob=np.float32(0.5), clutter_rate=np.int64(1), arena=(1280, 720),
+                 score_dips=((1, 5, 1, np.float64(0.5)),))
     # The arena is a (width, height) pair.
     for arena in ((100.0,), (100.0, 100.0, 100.0), (), 100.0):
         with pytest.raises(ConfigError, match=r"arena must be \(width, height\)"):

@@ -27,6 +27,7 @@ from reidmot import (
 )
 
 from reidmot.io import write_embeddings
+from reidmot.synth import ScenarioSpec, generate
 from reidmot.tracker import FEATURE_BATCH
 
 from bad_frames import BAD_FRAMES, writer_input
@@ -737,6 +738,33 @@ def test_each_step_solves_stage_1_then_stage_2(monkeypatch, bytetrack_stage2):
         matched = tracker.last_stats.matched_stage1
         carried = 0 if bytetrack_stage2 else high - matched
         assert shapes == [(live, high), (live - matched, carried + low)], f"frame {f}"
+
+
+def test_stationary_scenario_solves_take_the_forced_exit(monkeypatch):
+    # Well-separated identities under low noise admit at most one pairing per
+    # track and per detection, so every stage solve is forced and scipy's
+    # solver never runs, as on the bench workloads.
+    import reidmot.assign as assign
+    import reidmot.tracker as tracker_module
+
+    calls = {"stage": 0, "solver": 0}
+    stage_solve, solve = tracker_module.solve_assignment, assign._solve
+
+    def count_stage(costs):
+        calls["stage"] += 1
+        return stage_solve(costs)
+
+    def count_solver(costs, allowed):
+        calls["solver"] += 1
+        return solve(costs, allowed)
+
+    monkeypatch.setattr(tracker_module, "solve_assignment", count_stage)
+    monkeypatch.setattr(assign, "_solve", count_solver)
+    spec = ScenarioSpec(num_identities=20, num_frames=40, embedding_dim=32,
+                        embed_noise_sigma=0.02, dropout_prob=0.05, clutter_rate=2.0, seed=3)
+    outputs = run_sequence(generate(spec).frames, TrackerConfig())
+    assert len({out.track_id for out in outputs}) == spec.num_identities
+    assert calls == {"stage": 2 * spec.num_frames, "solver": 0}
 
 
 # Scores on and either side of both band edges (low 0.4, high 0.8) and of the
