@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from . import io as seqio
 from . import synth as synthmod
-from .core import FrameInput, TrackerConfig, group_by_frame
+from .core import TrackerConfig, group_by_frame
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -27,7 +27,7 @@ from .errors import (
     ZeroNormError,
 )
 from .metrics import _evaluate_tables
-from .tracker import run_sequence
+from .tracker import Tracker
 
 EXIT_CODES = [
     (ParseError, 3),
@@ -85,27 +85,28 @@ def _config_from_args(args) -> TrackerConfig:
 
 def _cmd_track(args) -> int:
     config = _config_from_args(args)
-    # One expression, so that the unjoined detections and the embedding dict
-    # are freed before tracking starts.
-    frames = seqio.attach_embeddings(
-        seqio.parse_detections(seqio.load_text(args.detections)),
-        seqio.parse_embeddings(seqio.load_text(args.embeddings),
-                               expected_dim=args.embedding_dim))
-    if args.nms_thresh is not None:
-        kept = seqio.nms_frames([fi.detections for fi in frames], args.nms_thresh)
-        frames = [FrameInput(fi.frame, tuple(k)) for fi, k in zip(frames, kept)]
+    # Columns all the way: no record is built per detection or per output.
+    detections = seqio._parse_detection_columns(seqio.load_text(args.detections))
+    frames = seqio._track_frames(
+        detections, *seqio._parse_embedding_columns(seqio.load_text(args.embeddings),
+                                                    args.embedding_dim),
+        args.nms_thresh)
 
+    tracker = Tracker(config)
+    emitted = []
     start = time.perf_counter()
-    outputs = run_sequence(frames, config)
+    for columns in frames:
+        track_ids, class_ids, rows = tracker.step(columns)
+        emitted.append((columns.frame, track_ids, class_ids, columns.boxes[:, rows],
+                        columns.scores[rows]))
     elapsed = time.perf_counter() - start
 
-    seqio.save_text(args.out, seqio.write_results(outputs))
-    fps = len(frames) / elapsed if elapsed > 0 else float("inf")
-    # Every track emits on the frame that founds it, so each one has an output.
-    created = len({o.track_id for o in outputs})
+    seqio.save_text(args.out, seqio._results_text(emitted))
+    fps = len(emitted) / elapsed if elapsed > 0 else float("inf")
+    outputs = sum(len(track_ids) for _, track_ids, _, _, _ in emitted)
     print(
-        f"tracked {len(frames)} frames: {created} tracks created, "
-        f"{len(outputs)} outputs, {elapsed:.3f}s wall, {fps:.1f} frames/s",
+        f"tracked {len(emitted)} frames: {len(tracker.tracks)} tracks created, "
+        f"{outputs} outputs, {elapsed:.3f}s wall, {fps:.1f} frames/s",
         file=sys.stderr,
     )
     return 0

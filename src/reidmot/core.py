@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Real
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,6 +202,40 @@ class FrameInput:
                 raise ValueError(
                     f"detection frame {det.frame} != frame input {self.frame}"
                 )
+
+
+def _frame_rows(frame: np.ndarray) -> dict:
+    """{frame: slice of its rows} for a column whose equal frames are adjacent."""
+    if not len(frame):
+        return {}
+    cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(frame)]
+    return dict(zip(frame[starts].tolist(), map(slice, starts, ends)))
+
+
+class _FrameColumns(NamedTuple):
+    """One frame's detections as columns, in file order: what Tracker.step works on.
+
+    `boxes` is (4, n) float64 (x, y, w, h rows), `scores` (n,) float64,
+    `class_ids` (n,) integers (an object array where they do not fit
+    int64) and `embs` (n, d), one embedding per detection. `reidmot track`
+    builds them from its file columns; `of` stacks a FrameInput.
+    """
+
+    frame: int
+    boxes: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+    embs: np.ndarray
+
+    @classmethod
+    def of(cls, frame_input: FrameInput) -> "_FrameColumns":
+        """The columns of a FrameInput, class ids kept as given."""
+        dets = frame_input.detections
+        return cls(frame_input.frame, _box_columns([d.bbox for d in dets]),
+                   np.array([d.score for d in dets], dtype=np.float64),
+                   np.array([d.class_id for d in dets], dtype=object),
+                   np.array([d.embedding for d in dets]) if dets else np.empty((0, 0)))
 
 
 def group_by_frame(records) -> dict[int, list]:

@@ -19,21 +19,31 @@ written with 6-decimal components: one numpy kernel formats every row whose
 "%.6f" text it can prove (_format_rows), and the one row template,
 ",".join(["%.6f"] * d), formats the rest, so both give the same bytes.
 
-Embedding texts, and the gt/results texts `reidmot eval` scores, are first
-read in one columnar np.loadtxt pass (_loadtxt) over the lines _lines keeps,
-the one rule for which lines are data; nothing is retried. Anything unusual
-goes to the line parser, the one home of the rules and their line-numbered
-messages, so both paths give the same values and the same errors. For
-embeddings that is _parse_embedding_lines, which also names the line of a
-wrong length or a zero vector (DimensionMismatchError, ZeroNormError); for
-gt/results it is parse_gt, whose entries then become the same frame-sorted
-BoxTable (_parse_box_table) that a clean text gives, with no record built
-per row.
+Embedding texts, the detection texts `reidmot track` reads, and the
+gt/results texts `reidmot eval` scores, are first read in one columnar
+np.loadtxt pass (_loadtxt) over the lines _lines keeps, the one rule for
+which lines are data; nothing is retried. Anything unusual goes to the line
+parser, the one home of the rules and their line-numbered messages, so both
+paths give the same values and the same errors. For embeddings that is
+_parse_embedding_lines, which also names the line of a wrong length or a
+zero vector (DimensionMismatchError, ZeroNormError); for detections it is
+parse_detections, and for gt/results parse_gt, whose records then become
+the same frame-sorted columns (_parse_detection_columns, _parse_box_table)
+that a clean text gives, with no record built per row.
+
+`reidmot track` stays on columns to the end: it joins the detections to the
+embedding block by position (_embedding_rows: the block's keys sorted once
+and compared in one pass with each detection's frame and rank within it,
+attach_embeddings raising on a mismatch), suppresses with the keep-mask
+kernel nms runs (_nms_keep), and formats its results with the one row
+template of write_results (_results_text).
 """
 
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +53,13 @@ from .core import (
     Detection,
     FrameInput,
     GtEntry,
+    _box_columns,
+    _exact_column,
+    _FrameColumns,
+    _frame_rows,
     embedding_dim,
     group_by_frame,
-    iou_matrix,
+    iou_columns,
     normalize_embedding,
     unit_rows,
 )
@@ -145,6 +159,52 @@ def parse_detections(text: str) -> list[Detection]:
     return dets
 
 
+class _DetectionColumns(NamedTuple):
+    """parse_detections as columns: frame (N,), boxes (4, N) float64 (x, y,
+    w, h rows), scores (N,) float64 and class_id (N,), in its order.
+
+    The frame and class columns are object arrays where a value does not
+    fit int64, as BoxTable's are.
+    """
+
+    frame: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+    class_id: np.ndarray
+
+
+def _parse_detection_columns(text: str) -> _DetectionColumns:
+    """parse_detections as _DetectionColumns, with the same errors.
+
+    The data lines are read by _loadtxt's one pass into columns, checked
+    as a whole and stable-sorted by frame; anything parse_detections might
+    reject or read differently (no rows, a frame below 1, a score outside
+    [0, 1] or NaN, a class below 0, a non-finite box, a side of 0 or less)
+    defers to parse_detections, the one home of the field rules and the
+    line-numbered messages, whose records then become the columns.
+    """
+    block = _loadtxt(text, lambda first_line: _BOX_ROW)
+    if block is not None:
+        block = block[np.argsort(block["key"][:, 0], kind="stable")]
+        frame, boxes, scores, class_id = (block["key"][:, 0], block["box"].T, block["score"],
+                                          block["class_id"])
+        if ((frame >= 1).all() and (class_id >= 0).all() and np.isfinite(boxes).all()
+                and (boxes[2:] > 0).all() and ((scores >= 0) & (scores <= 1)).all()):
+            return _DetectionColumns(frame, boxes, scores, class_id)
+    dets = parse_detections(text)
+    return _DetectionColumns(_exact_column([d.frame for d in dets]),
+                             _box_columns([d.bbox for d in dets]),
+                             np.array([d.score for d in dets], dtype=np.float64),
+                             _exact_column([d.class_id for d in dets]))
+
+
+def _detection_records(columns: _DetectionColumns) -> list[Detection]:
+    """The Detection of each row of `columns`, as parse_detections gives them."""
+    frame, boxes, scores, class_id = columns
+    return [Detection(f, BBox(x, y, w, h), s, c) for f, x, y, w, h, s, c in
+            zip(frame.tolist(), *boxes.tolist(), scores.tolist(), class_id.tolist())]
+
+
 def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
     """Parse an embedding file into {(frame, index): unit vector}.
 
@@ -153,10 +213,31 @@ def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
     one columnar pass, whose vectors are row views of one block; anything
     else goes to the line parser, which holds every rule and error message.
     """
-    emb = _parse_embedding_block(text, expected_dim)
-    if emb is not None:
-        return emb
-    return _parse_embedding_lines(text, expected_dim)
+    block = _parse_embedding_block(text, expected_dim)
+    if block is None:
+        return _parse_embedding_lines(text, expected_dim)
+    return _embedding_dict(*block)
+
+
+def _embedding_dict(keys: np.ndarray, vecs: np.ndarray) -> dict:
+    """{(frame, index): row of vecs} of an embedding block."""
+    return {(frame, index): vec for (frame, index), vec in zip(keys.tolist(), vecs)}
+
+
+def _parse_embedding_columns(text: str, expected_dim: int | None) -> tuple:
+    """parse_embeddings as (keys, vecs): an (M, 2) key array and the (M, d)
+    block of unit rows, in file order.
+
+    A clean text gives _parse_embedding_block's arrays, not copied; the
+    line parser's dict becomes the same arrays, with the keys an object
+    array where one does not fit int64.
+    """
+    block = _parse_embedding_block(text, expected_dim)
+    if block is not None:
+        return block
+    emb = _parse_embedding_lines(text, expected_dim)
+    return (_exact_column(list(emb)).reshape(-1, 2),
+            np.array(list(emb.values())) if emb else np.empty((0, 0)))
 
 
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
@@ -188,8 +269,8 @@ def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
         return None
 
 
-def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
-    """The data lines read by _loadtxt's one pass, or None to defer.
+def _parse_embedding_block(text: str, expected_dim: int | None) -> tuple | None:
+    """The data lines read by _loadtxt's one pass as (keys, vecs), or None to defer.
 
     Returns None for anything the line parser might reject or read
     differently: whatever _loadtxt defers, a key out of range or repeated,
@@ -210,12 +291,14 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> dict | None:
     keys, vecs = block["key"], block["vec"]
     if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
         return None
+    ordered = keys[np.lexsort(keys.T[::-1])]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():  # a repeated key
+        return None
     try:
         unit_rows(vecs, out=vecs)
     except (ValueError, ZeroNormError):  # the line parser names the line
         return None
-    emb = {(frame, index): vec for (frame, index), vec in zip(keys.tolist(), vecs)}
-    return emb if len(emb) == len(block) else None  # a repeated key
+    return keys, vecs
 
 
 def _parse_embedding_lines(text: str, expected_dim: int | None) -> dict:
@@ -273,6 +356,67 @@ def attach_embeddings(detections, embeddings) -> list[FrameInput]:
         used = {(fi.frame, i) for fi in frames for i in range(len(fi.detections))}
         raise OrphanEmbeddingError(*min(set(embeddings) - used))
     return frames
+
+
+def _embedding_rows(detections: _DetectionColumns, frame_rows: dict, keys: np.ndarray,
+                    vecs: np.ndarray) -> np.ndarray:
+    """The row of `keys` and `vecs` that holds each detection's embedding;
+    `frame_rows` is _frame_rows of the detections' frames.
+
+    attach_embeddings' join by position: detection k of a frame takes the
+    key (frame, k). The keys are sorted once and compared with each
+    detection's (frame, rank within its frame) in one pass; a frame or key
+    past int64 is joined by value instead. On any mismatch
+    attach_embeddings of the same records raises the MissingEmbeddingError
+    or OrphanEmbeddingError that names it.
+    """
+    frame = detections.frame
+    starts = np.zeros(len(frame), dtype=np.intp)
+    for take in frame_rows.values():
+        starts[take] = take.start
+    rank = np.arange(len(frame)) - starts
+    if len(keys) == len(frame):
+        if frame.dtype.kind in "iu" and keys.dtype.kind in "iu":
+            order = np.lexsort(keys.T[::-1])
+            if (keys[order, 0] == frame).all() and (keys[order, 1] == rank).all():
+                return order
+        else:
+            row_of = {key: row for row, key in enumerate(map(tuple, keys.tolist()))}
+            rows = [row_of.get(key, -1) for key in zip(frame.tolist(), rank.tolist())]
+            if -1 not in rows:
+                return np.array(rows, dtype=np.intp)
+    # The keys do not line up, so the record join raises the error naming how.
+    attach_embeddings(_detection_records(detections), _embedding_dict(keys, vecs))
+    raise AssertionError("attach_embeddings joined keys that the positional join refused")
+
+
+def _track_frames(detections: _DetectionColumns, keys: np.ndarray, vecs: np.ndarray,
+                  nms_thresh: float | None):
+    """The _FrameColumns of each frame of `detections` joined to its
+    embeddings: attach_embeddings, then nms_frames when `nms_thresh` is
+    given, on columns.
+
+    The join (_embedding_rows) and the threshold are checked at once, in
+    that order; the frames are then built one at a time, each with its
+    own copy of its embedding rows, so the block is never copied whole.
+    """
+    frame_rows = _frame_rows(detections.frame)
+    rows = _embedding_rows(detections, frame_rows, keys, vecs)
+    if nms_thresh is not None:
+        _check_iou_thresh(nms_thresh)
+    return (_frame_columns(detections, vecs, rows, frame, take, nms_thresh)
+            for frame, take in frame_rows.items())
+
+
+def _frame_columns(detections: _DetectionColumns, vecs: np.ndarray, rows: np.ndarray,
+                   frame: int, take: slice, nms_thresh: float | None) -> _FrameColumns:
+    boxes, scores, class_id = (detections.boxes[:, take], detections.scores[take],
+                               detections.class_id[take])
+    if nms_thresh is not None:
+        keep = np.flatnonzero(_nms_keep(boxes, scores, class_id, nms_thresh))
+        boxes, scores, class_id = boxes[:, keep], scores[keep], class_id[keep]
+        take = keep + take.start
+    return _FrameColumns(frame, boxes, scores, class_id, vecs[rows[take]])
 
 
 def parse_gt(text: str) -> list[GtEntry]:
@@ -413,16 +557,25 @@ def _format_rows(embs: list[np.ndarray]) -> list[str]:
             for emb, exact in zip(embs, provable.tolist())]
 
 
+# One results line: frame, track id, x, y, w, h, score, class id. The one
+# template, for write_results and _results_text.
+_RESULT_ROW = "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s,-1\n"
+
+
 def write_results(outputs) -> str:
     """Tracker output lines, 6-decimal reals, LF endings. Parseable by parse_gt."""
-    lines = []
-    for o in outputs:
-        b = o.bbox
-        lines.append(
-            f"{o.frame},{o.track_id},{b.x:.6f},{b.y:.6f},{b.w:.6f},{b.h:.6f},"
-            f"{o.score:.6f},{o.class_id},-1"
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join([_RESULT_ROW % (o.frame, o.track_id, o.bbox.x, o.bbox.y, o.bbox.w,
+                                   o.bbox.h, o.score, o.class_id) for o in outputs])
+
+
+def _results_text(frames) -> str:
+    """write_results of `reidmot track`'s columns: per frame, its number and
+    the track ids, class ids, (4, k) boxes and scores of its k outputs."""
+    rows = []
+    for frame, track_ids, class_ids, boxes, scores in frames:
+        rows += zip(repeat(frame), track_ids.tolist(), *boxes.tolist(), scores.tolist(),
+                    class_ids.tolist())
+    return "".join(map(_RESULT_ROW.__mod__, rows))
 
 
 def write_gt(entries) -> str:
@@ -453,17 +606,25 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     returned in their input order.
     """
     _check_iou_thresh(iou_thresh)
-    boxes = [d.bbox for d in detections]
-    classes = np.array([d.class_id for d in detections])
+    keep = _nms_keep(_box_columns([d.bbox for d in detections]),
+                     np.array([d.score for d in detections], dtype=np.float64),
+                     np.array([d.class_id for d in detections]), iou_thresh)
+    return list(compress(detections, keep.tolist()))
+
+
+def _nms_keep(boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
+              iou_thresh: float) -> np.ndarray:
+    """nms' keep mask over one frame's columns: the one NMS kernel, for nms
+    and `reidmot track`. `boxes` is (4, n): x, y, w, h rows."""
     # overlaps[i, j]: keeping i suppresses j
-    overlaps = (iou_matrix(boxes, boxes) > iou_thresh) & (classes[:, None] == classes)
-    suppressed = np.zeros(len(detections), dtype=bool)
-    keep = [False] * len(detections)
-    for i in sorted(range(len(detections)), key=lambda i: -detections[i].score):
+    overlaps = (iou_columns(boxes, boxes) > iou_thresh) & (class_ids[:, None] == class_ids)
+    suppressed = np.zeros(len(scores), dtype=bool)
+    keep = np.zeros(len(scores), dtype=bool)
+    for i in np.argsort(-scores, kind="stable").tolist():  # ties: earlier row first
         if not suppressed[i]:
             keep[i] = True
             suppressed |= overlaps[i]
-    return [d for d, k in zip(detections, keep) if k]
+    return keep
 
 
 def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:

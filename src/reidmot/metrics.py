@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from .assign import gate_costs, solve_assignment
 # Nothing here calls `iou`; it is imported so that callers which patch
 # `metrics.iou`, such as the benchmark's call counter, still find it.
-from .core import BoxTable, iou, iou_columns  # noqa: F401
+from .core import BoxTable, _frame_rows, iou, iou_columns  # noqa: F401
 from .errors import ConfigError, DuplicateEntryError, EmptyGtError
 
 
@@ -86,15 +86,6 @@ def _tables(gt, pred) -> tuple[BoxTable, BoxTable]:
     pred = sorted(pred, key=lambda o: o.frame)
     return (BoxTable.from_records(gt, [e.identity for e in gt]),
             BoxTable.from_records(pred, [o.track_id for o in pred]))
-
-
-def _frame_rows(frame: np.ndarray) -> dict:
-    """{frame: slice of its rows} for a column whose equal frames are adjacent."""
-    if not len(frame):
-        return {}
-    cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, len(frame)]
-    return dict(zip(frame[starts].tolist(), map(slice, starts, ends)))
 
 
 def _frame_ious(gt: BoxTable, pred: BoxTable):

@@ -17,9 +17,11 @@ import numpy as np
 
 from .assign import FORBIDDEN, gate_costs, solve_assignment
 from .core import (
+    BBox,
     FrameInput,
     TrackerConfig,
     TrackOutput,
+    _FrameColumns,
     embedding_dim,
     embedding_length,
     unit_rows,
@@ -99,7 +101,8 @@ class _HistoryStore:
     """The state of many tracks, one slot per track, in a few arrays.
 
     Per slot: the track's id, class id, frames since its last match
-    (`since`), the detection it last matched (`seen`), its feature (a row
+    (`since`), the frame and box of its last match (`frame`, a row of the
+    (S, 4) `box` matrix), its feature (a row
     of the (S, d) `feat` matrix) and its recent observations: a block of
     tau + 1 positions in one (S, tau + 1, d) pool of embeddings, the
     matching tau + 1 scores, and the count of observations the slot has
@@ -108,7 +111,7 @@ class _HistoryStore:
     position, count % (tau + 1): stage writes a new observation there
     without changing the window, features reads the window that
     observation would leave, and advance makes it part of the window and
-    records its feature and detection. A released slot is reused before a
+    records its feature, frame and box. A released slot is reused before a
     new one is taken, so the store writes to no more slots than were ever
     open at once. No view of the pool leaves the store: history and
     features return copies, which lets the pool be resized in place.
@@ -125,7 +128,8 @@ class _HistoryStore:
         self.class_id = np.empty(0, dtype=object)  # as the founding detection gave it
         self.class_code = np.empty(0, dtype=np.intp)  # what the class gate compares
         self.since = np.empty(0, dtype=np.intp)
-        self.seen = np.empty(0, dtype=object)
+        self.frame = np.empty(0, dtype=object)  # frames are any ints
+        self.box = np.empty((0, 4), dtype=np.float64)
         self._free_slots: list[int] = []
 
     def open(self, track_ids: np.ndarray, class_ids: list,
@@ -137,7 +141,7 @@ class _HistoryStore:
             n = len(self._count)
             more = max(n, 8)
             for name in ("_scores", "_count", "track_id", "class_id", "class_code",
-                         "since", "seen"):
+                         "since", "frame", "box"):
                 held = getattr(self, name)
                 setattr(self, name, np.concatenate(
                     [held, np.zeros((more, *held.shape[1:]), held.dtype)]))
@@ -158,20 +162,20 @@ class _HistoryStore:
         self._pool[slots, pos] = embeddings
         self._scores[slots, pos] = scores
 
-    def advance(self, slots: np.ndarray, features: np.ndarray, detections: np.ndarray):
+    def advance(self, slots: np.ndarray, features: np.ndarray, frame: int, boxes: np.ndarray):
         """Make each slot's staged observation the newest of its window, and
-        record the window's feature and the detection it came from."""
+        record the window's feature and the frame and (k, 4) box it came from."""
         if not len(slots):
             return
         self._count[slots] += 1
         self.feat[slots] = features
         self.since[slots] = 0
-        self.seen[slots] = detections
+        self.frame[slots] = frame
+        self.box[slots] = boxes
 
     def release(self, slots: np.ndarray):
         """Close the slots."""
         self._count[slots] = 0
-        self.seen[slots] = None
         self._free_slots.extend(slots.tolist())
 
     def history(self, slot: int) -> list:
@@ -288,9 +292,8 @@ class Track:
         if self._slot is None:
             return self._record
         store, slot = self._store, self._slot
-        seen = store.seen[slot]
-        return (int(store.track_id[slot]), store.class_id[slot],
-                int(store.since[slot]), seen.bbox, seen.frame)
+        return (int(store.track_id[slot]), store.class_id[slot], int(store.since[slot]),
+                BBox(*store.box[slot].tolist()), store.frame[slot])
 
     def _remove(self):
         """Keep the fields in the track's own record and let the slot go."""
@@ -435,18 +438,22 @@ class Tracker:
         claimed: high-band detections at or above min_init_score, in frame
         order. Low-band detections never found tracks.
 
-        This is the one place a track is founded, updated and aged, and it
-        works on arrays: the frame's embeddings, scores and class ids are
-        stacked once and the bands and stages hold index arrays into them.
-        Each matched detection is written into the spare position of its
-        track's slot, the features of those windows are computed in one
-        batched pass (see _HistoryStore.features) and a founder's from its
-        one detection, and only then are the windows advanced, the feature
-        rows written and the unmatched tracks aged; a removed track gives
+        This is the one place a track is founded, updated and aged, and its
+        body (_advance) works on one frame's columns: boxes, scores, class
+        ids and embedding rows, with the bands and stages holding index
+        arrays into them. A FrameInput is stacked into those columns
+        (_FrameColumns.of) and the outputs are wrapped in TrackOutputs;
+        `reidmot track` passes a _FrameColumns of its file columns and gets
+        back the arrays _advance returns. Each matched detection is written
+        into the spare position of its track's slot, the features of those
+        windows are computed in one batched pass (see
+        _HistoryStore.features) and a founder's from its one detection, and
+        only then are the windows advanced, the feature rows, frames and
+        boxes written and the unmatched tracks aged; a removed track gives
         its slot back, and the founders take slots last, so the store never
         holds more slots than the most tracks live after a step. The outputs
-        are built in track-id order. The work is proportional to the live
-        tracks, not to every track ever founded.
+        are in track-id order. The work is proportional to the live tracks,
+        not to every track ever founded.
 
         The embeddings are used as given, so they should be unit-norm (see
         normalize_embedding); core.embedding_dim checks their shapes. The
@@ -457,19 +464,33 @@ class Tracker:
         zero) leaves the tracker as it was, since only the matched tracks'
         spare positions, outside every window, were written.
         """
-        cfg = self.config
         frame = frame_input.frame
         if self._last_frame is not None and frame <= self._last_frame:
             raise NonMonotonicFrameError(
                 f"frame {frame} after frame {self._last_frame}"
             )
+        if isinstance(frame_input, _FrameColumns):
+            embs = frame_input.embs
+            dim = embedding_length(embs.shape[1:], self._dim) if len(embs) else self._dim
+            return self._advance(frame_input, dim)
         dets = frame_input.detections
         dim = embedding_dim(frame, dets, self._dim)
-        detected = np.fromiter(dets, dtype=object, count=len(dets))
-        embs = np.array([det.embedding for det in dets]) if dets else np.empty((0, 0))
-        scores = np.array([det.score for det in dets], dtype=np.float64)
+        track_ids, class_ids, rows = self._advance(_FrameColumns.of(frame_input), dim)
+        return [TrackOutput(frame, track_id, dets[row].bbox, dets[row].score, class_id)
+                for track_id, class_id, row in zip(track_ids.tolist(), class_ids.tolist(),
+                                                   rows.tolist())]
+
+    def _advance(self, columns: _FrameColumns, dim: int | None):
+        """The body of step on a frame's checked columns.
+
+        Returns the (track ids, track class ids, rows of `columns`) of every
+        matched or founded track, in track-id order: the class is the
+        track's, fixed when it was founded.
+        """
+        cfg = self.config
+        frame, boxes, scores, class_ids, embs = columns
         known = self._class_codes
-        class_codes = np.array([known.setdefault(det.class_id, len(known)) for det in dets],
+        class_codes = np.array([known.setdefault(c, len(known)) for c in class_ids.tolist()],
                                dtype=np.intp)
         high, low, _ = _bands(scores, cfg)
         store, live = self._store, self._live_slots
@@ -488,7 +509,7 @@ class Tracker:
 
         # Founding: the confident rows no stage claimed, above the init floor.
         # The low band can sustain tracks but never create them.
-        unclaimed = np.ones(len(dets), dtype=bool)
+        unclaimed = np.ones(len(scores), dtype=bool)
         unclaimed[cols] = False
         founders = high[unclaimed[high] & (scores[high] >= cfg.min_init_score)]
 
@@ -501,7 +522,7 @@ class Tracker:
                             if len(founders) else None)
         self._last_frame = frame
         self._dim = dim
-        store.advance(slots, features, detected[cols])
+        store.advance(slots, features, frame, boxes[:, cols].T)
         store.since[unmatched] += 1
         # The removal mask is taken before the founders open slots, which
         # may be the ones the removed tracks give back.
@@ -515,10 +536,9 @@ class Tracker:
             live_tracks = list(compress(live_tracks, (~gone).tolist()))
         if len(founders):
             fresh = store.open(np.arange(self._next_id, self._next_id + len(founders)),
-                               [det.class_id for det in detected[founders].tolist()],
-                               class_codes[founders])
+                               class_ids[founders].tolist(), class_codes[founders])
             store.stage(fresh, embs[founders], scores[founders])
-            store.advance(fresh, founder_features, detected[founders])
+            store.advance(fresh, founder_features, frame, boxes[:, founders].T)
             self._next_id += len(founders)
             new_tracks = [Track(store, slot) for slot in fresh.tolist()]
             self.tracks.extend(new_tracks)
@@ -535,12 +555,7 @@ class Tracker:
         # Stage-2 matches can hold lower ids than stage-1 ones.
         order = np.argsort(store.track_id[slots])
         slots = slots[order]
-        return [
-            TrackOutput(frame, track_id, det.bbox, det.score, class_id)
-            for track_id, class_id, det in zip(store.track_id[slots].tolist(),
-                                               store.class_id[slots].tolist(),
-                                               detected[cols[order]].tolist())
-        ]
+        return store.track_id[slots], store.class_id[slots], cols[order]
 
 
 def run_sequence(frames, config: TrackerConfig | None = None) -> list[TrackOutput]:

@@ -33,6 +33,7 @@ import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
 
 from bad_frames import BAD_FRAMES, embedded_frame, writer_input
+from field_texts import EDGE_PADS, INT_TEXTS, REAL_TEXTS
 from oracles import component_format_embeddings, greedy_nms
 
 
@@ -258,6 +259,86 @@ def test_whitespace_only_lines_keep_the_columnar_box_path(text, monkeypatch):
     table = seqio._parse_box_table(text)
     for column in ("frame", "ids", "class_id", "boxes"):
         assert getattr(table, column).tobytes() == getattr(want, column).tobytes()
+
+
+CLEAN_DETECTIONS = "2,-1,0,0,10,10,0.9,1,-1\n1,-1,5.5,0,10,10,0.3,0,-1\n2,-1,1,1,2,2,1,0,-1\n"
+
+
+@pytest.mark.parametrize("text", [
+    CLEAN_DETECTIONS,
+    "# frame,-1,x,y,w,h,score,class,-1\n" + CLEAN_DETECTIONS.replace("\n", "\r\n\t\r\n", 1),
+], ids=["clean", "comment-crlf-and-blank"])
+def test_detection_columns_of_a_clean_file_skip_the_line_parser(text, monkeypatch):
+    want = parse_detections(CLEAN_DETECTIONS)
+
+    def no_line_parser(source):
+        raise AssertionError("parse_detections ran on a clean file")
+
+    monkeypatch.setattr(seqio, "parse_detections", no_line_parser)
+    columns = seqio._parse_detection_columns(text)
+    assert (columns.frame.dtype, columns.class_id.dtype) == (np.int64, np.int64)
+    assert seqio._detection_records(columns) == want
+    assert columns.frame.tolist() == [1, 2, 2]  # stable by frame: file order within
+
+
+# (column, text) of a detection field beyond the shared texts: a frame, a
+# side or a class parse_detections reads but its record types reject, a
+# score above 1, just above 1, NaN or negative zero, and id or flag columns
+# that are not numbers.
+DETECTION_TEXTS = [(0, "0"), (0, "-1"), (4, "0"), (4, "-2"), (5, "-0.0"), (5, "1e-400"),
+                   (7, "-1"), (6, "1.5"), (6, "1.0000000000000002"), (6, "nan"), (6, "-0.0"),
+                   (6, "-1e-300"), (1, "a"), (1, "-1.5"), (8, "x"), (8, "nan")]
+
+
+@st.composite
+def detection_files(draw):
+    """Detection texts: rows like "2,-1,0,1,3,3,0.5,1,-1" over interleaved
+    frames, some mutated by a shared field text, a detection field text,
+    edge whitespace or a wrong field count, with comment and blank lines,
+    LF or CRLF endings, and empty files."""
+    grid, side = st.integers(0, 3), st.sampled_from([2, 3, 4.5])
+    score = st.sampled_from([0, 0.25, 0.5, 0.9, 1])
+    rows = [",".join(map(str, [draw(st.integers(1, 4)), -1, draw(grid), draw(grid), draw(side),
+                               draw(side), draw(score), draw(st.integers(0, 2)), -1]))
+            for _ in range(draw(st.sampled_from([0, 1, 3, 6])))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        fields = rows[at].split(",")
+        kind = draw(st.sampled_from(["field", "field", "detection", "detection", "pad", "short",
+                                     "long"]))
+        if kind == "pad":
+            lead, trail = draw(st.sampled_from(EDGE_PADS))
+            fields[0], fields[-1] = lead + fields[0], fields[-1] + trail
+        elif kind == "field":
+            col = draw(st.integers(0, 8))
+            fields[col] = draw(st.sampled_from(INT_TEXTS if col in (0, 1, 7) else REAL_TEXTS))
+        elif kind == "detection":
+            col, text = draw(st.sampled_from(DETECTION_TEXTS))
+            fields[col] = text
+        else:
+            fields = fields[:-1] if kind == "short" else fields + ["1"]
+        rows[at] = ",".join(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", "# frame,-1,x,y,w,h,score,class,-1", "  #1", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+def _detections_outcome(parse, text):
+    try:
+        return repr(parse(text))  # float reprs: equal strings are equal bits
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=600, database=None, deadline=None)
+@given(detection_files())
+def test_detection_columns_equal_parse_detections(text):
+    def columns(source):
+        return seqio._detection_records(seqio._parse_detection_columns(source))
+
+    assert _detections_outcome(columns, text) == _detections_outcome(parse_detections, text)
 
 
 FLOAT_KEY_TEXTS = ["1.0,0,0.6,0.8\n", "1,0.5,0.6,0.8\n", "1.9,0,0.6,0.8\n"]
@@ -610,10 +691,6 @@ KEY_TEXTS = ["0", "1", "2", "-1", "1.0", "1e0", "+1", " 2", "-0", "1_0",
 VALUE_TEXTS = ["0", "-0.0", "0.6", "0.8", "nan", "-nan", "inf", "-Infinity",
                "1e400", "1e-400", "1e200", "+1", " 2", "3 ", "1_0", "0x1",
                "1d5", ".5", "5.", "１", ""]
-
-
-# (leading, trailing) whitespace a data line may carry; _lines strips it.
-EDGE_PADS = [("\t", ""), ("", " "), (" ", "\t"), ("  ", "  ")]
 
 
 @st.composite

@@ -24,6 +24,7 @@ from reidmot.io import _parse_box_table, load_text
 import reidmot.metrics as metrics
 from reidmot.metrics import _evaluate_tables
 
+from field_texts import EDGE_PADS, INT_TEXTS, REAL_TEXTS
 from oracles import brute_force_assignment, reference_evaluate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -328,16 +329,6 @@ def test_frames_and_ids_past_int64():
     assert (rep.mota, rep.motp, rep.idf1, rep.idsw) == (1.0, 0.0, 1.0, 0)
 
 
-# Field texts the table reader and parse_gt might read differently: signs,
-# padding, leading zeros, separators, floats and exponents int() rejects,
-# hex, full-width digits, keys past int64, non-finite and overflowing
-# values, zero and negative sides, empties.
-INT_TEXTS = ["0", "1", "2", "-1", "+1", " 1", "0001", "1_0", "1.0", "1e0", "0x1", "１",
-             "9223372036854775808", "99999999999999999999", ""]
-REAL_TEXTS = ["0", "-0.0", "-2", "2", "+1", " 3", "1_0", "0x1", "１", "1d5", ".5",
-              "inf", "-inf", "nan", "1e400", "1e-400", ""]
-# (leading, trailing) whitespace a data line may carry; both parsers strip it.
-EDGE_PADS = [("\t", ""), ("", " "), (" ", "\t"), ("  ", "  ")]
 # (column, text) of a number parse_gt reads but its record types reject.
 OUT_OF_RANGE = [(0, "0"), (0, "-1"), (1, "0"), (1, "-2"), (4, "0"), (4, "-2"),
                 (5, "-0.0"), (5, "1e-400"), (7, "-1")]
