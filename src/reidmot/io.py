@@ -2,12 +2,15 @@
 
 Three formats, one record per line, `#` starts a comment, blank lines are
 ignored, LF or CRLF both accepted. Each parser takes the whole text of a
-file, one str, as load_text returns it. Malformed lines raise ParseError
-with the 1-based line number; nothing is silently skipped. The parsers check
-only the layout of a line (field count, numeric text: every field of the
-two 9-field formats, through one row reader) and the embedding key; the
-field rules, non-finite numbers included, belong to the record types in
-`core`, whose ValueError the parsers re-raise as a ParseError for the line.
+file, one str, as load_text returns it: UTF-8 (a byte that is not raises
+ParseError for its line), CR and CRLF read as LF. Lines end at LF only, so
+a form feed or U+2028 in a line moves no line number. Malformed lines raise
+ParseError with the 1-based line number; nothing is silently skipped. The
+parsers check only the layout of a line (field count, numeric text: every
+field of the two 9-field formats, through one row reader) and the
+embedding key; the field rules, non-finite numbers included, belong to the
+record types in `core`, whose ValueError the parsers re-raise as a
+ParseError for the line.
 
     detections:  frame,-1,x,y,w,h,score,class,-1
     embeddings:  frame,index,v1,...,vd      (index = 0-based per-frame file order)
@@ -26,17 +29,18 @@ which lines are data; nothing is retried. Anything unusual goes to the line
 parser, the one home of the rules and their line-numbered messages, so both
 paths give the same values and the same errors. For embeddings that is
 _parse_embedding_lines, which also names the line of a wrong length or a
-zero vector (DimensionMismatchError, ZeroNormError); for detections it is
-parse_detections, and for gt/results parse_gt, whose records then become
-the same frame-sorted columns (_parse_detection_columns, _parse_box_table)
-that a clean text gives, with no record built per row.
+zero vector (DimensionMismatchError, ZeroNormError) and gives the same
+(keys, vecs) block; parse_embeddings is the dict over that block. For
+detections it is parse_detections, and for gt/results parse_gt, whose
+records then become the same frame-sorted columns
+(_parse_detection_columns, _parse_box_table) that a clean text gives.
 
 `reidmot track` stays on columns to the end: it joins the detections to the
-embedding block by position (_embedding_rows: the block's keys sorted once
-and compared in one pass with each detection's frame and rank within it,
-attach_embeddings raising on a mismatch), suppresses with the keep-mask
-kernel nms runs (_nms_keep), and formats its results with the one row
-template of write_results (_results_text).
+embedding block by position (_embedding_rows: the keys, of any size, sorted
+once and compared in one pass with each detection's frame and rank within
+it, attach_embeddings raising on a mismatch), suppresses with the
+keep-mask kernel nms runs (_nms_keep), and formats its results with the
+one row template of write_results (_results_text).
 """
 
 import os
@@ -90,7 +94,7 @@ class SequenceBundle:
 
 def _lines(text: str):
     """Yield (line_no, stripped payload) for every non-blank, non-comment line."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -209,35 +213,19 @@ def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
     """Parse an embedding file into {(frame, index): unit vector}.
 
     The dimension is fixed by `expected_dim` or, failing that, by the first
-    record; every vector is L2-normalized on load. A clean text is read in
-    one columnar pass, whose vectors are row views of one block; anything
-    else goes to the line parser, which holds every rule and error message.
+    record; every vector is L2-normalized on load. The dict is built over
+    _parse_embedding_columns, so its vectors are rows of one block.
     """
-    block = _parse_embedding_block(text, expected_dim)
-    if block is None:
-        return _parse_embedding_lines(text, expected_dim)
-    return _embedding_dict(*block)
-
-
-def _embedding_dict(keys: np.ndarray, vecs: np.ndarray) -> dict:
-    """{(frame, index): row of vecs} of an embedding block."""
-    return {(frame, index): vec for (frame, index), vec in zip(keys.tolist(), vecs)}
+    keys, vecs = _parse_embedding_columns(text, expected_dim)
+    return dict(zip(map(tuple, keys.tolist()), vecs))
 
 
 def _parse_embedding_columns(text: str, expected_dim: int | None) -> tuple:
     """parse_embeddings as (keys, vecs): an (M, 2) key array and the (M, d)
-    block of unit rows, in file order.
-
-    A clean text gives _parse_embedding_block's arrays, not copied; the
-    line parser's dict becomes the same arrays, with the keys an object
-    array where one does not fit int64.
-    """
-    block = _parse_embedding_block(text, expected_dim)
-    if block is not None:
-        return block
-    emb = _parse_embedding_lines(text, expected_dim)
-    return (_exact_column(list(emb)).reshape(-1, 2),
-            np.array(list(emb.values())) if emb else np.empty((0, 0)))
+    block of unit rows, in file order. A clean text is read in one columnar
+    pass (_parse_embedding_block), anything else by the line parser."""
+    return (_parse_embedding_block(text, expected_dim)
+            or _parse_embedding_lines(text, expected_dim))
 
 
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
@@ -253,7 +241,8 @@ def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
     """
     lines = [line for _, line in _lines(text)]
     dtype = row_dtype(lines[0]) if lines else None  # loadtxt warns on no lines
-    if dtype is None:
+    # loadtxt reads a number beside \x1c-\x1f, which int() and float() refuse.
+    if dtype is None or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
         return None
     try:
         # Integer fields, so that a key such as "1.0" or "1e0" is refused, as
@@ -301,9 +290,10 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> tuple | None:
     return keys, vecs
 
 
-def _parse_embedding_lines(text: str, expected_dim: int | None) -> dict:
-    """parse_embeddings one line at a time: the rules and their messages."""
-    emb = {}
+def _parse_embedding_lines(text: str, expected_dim: int | None) -> tuple:
+    """_parse_embedding_columns one line at a time: the rules and their
+    messages. The keys are an object array where one does not fit int64."""
+    keys, vecs, seen = [], [], set()
     dim = expected_dim
     for line_no, line in _lines(text):
         fields = line.split(",")
@@ -315,8 +305,9 @@ def _parse_embedding_lines(text: str, expected_dim: int | None) -> dict:
             raise ParseError(line_no, f"frame must be >= 1, got {frame}")
         if index < 0:
             raise ParseError(line_no, f"index must be >= 0, got {index}")
-        if (frame, index) in emb:
+        if (frame, index) in seen:
             raise ParseError(line_no, f"duplicate embedding key ({frame}, {index})")
+        seen.add((frame, index))
         try:
             vec = np.array([float(v) for v in fields[2:]], dtype=np.float64)
         except ValueError:
@@ -324,12 +315,14 @@ def _parse_embedding_lines(text: str, expected_dim: int | None) -> dict:
         if dim is None:
             dim = vec.shape[0]
         try:
-            emb[(frame, index)] = normalize_embedding(vec, dim)
+            vecs.append(normalize_embedding(vec, dim))
         except (DimensionMismatchError, ZeroNormError) as exc:
             raise type(exc)(f"line {line_no}: {exc}") from None
         except ValueError as exc:  # a non-finite component
             raise ParseError(line_no, str(exc)) from None
-    return emb
+        keys.append((frame, index))
+    return (_exact_column(keys).reshape(-1, 2),
+            np.array(vecs) if vecs else np.empty((0, 0)))
 
 
 def attach_embeddings(detections, embeddings) -> list[FrameInput]:
@@ -365,10 +358,10 @@ def _embedding_rows(detections: _DetectionColumns, frame_rows: dict, keys: np.nd
 
     attach_embeddings' join by position: detection k of a frame takes the
     key (frame, k). The keys are sorted once and compared with each
-    detection's (frame, rank within its frame) in one pass; a frame or key
-    past int64 is joined by value instead. On any mismatch
-    attach_embeddings of the same records raises the MissingEmbeddingError
-    or OrphanEmbeddingError that names it.
+    detection's (frame, rank within its frame) in one pass; np.lexsort and
+    == take the object columns of keys past int64 as they take int64 ones.
+    On any mismatch attach_embeddings of the same records raises the
+    MissingEmbeddingError or OrphanEmbeddingError that names it.
     """
     frame = detections.frame
     starts = np.zeros(len(frame), dtype=np.intp)
@@ -376,17 +369,12 @@ def _embedding_rows(detections: _DetectionColumns, frame_rows: dict, keys: np.nd
         starts[take] = take.start
     rank = np.arange(len(frame)) - starts
     if len(keys) == len(frame):
-        if frame.dtype.kind in "iu" and keys.dtype.kind in "iu":
-            order = np.lexsort(keys.T[::-1])
-            if (keys[order, 0] == frame).all() and (keys[order, 1] == rank).all():
-                return order
-        else:
-            row_of = {key: row for row, key in enumerate(map(tuple, keys.tolist()))}
-            rows = [row_of.get(key, -1) for key in zip(frame.tolist(), rank.tolist())]
-            if -1 not in rows:
-                return np.array(rows, dtype=np.intp)
+        order = np.lexsort(keys.T[::-1])
+        if (keys[order, 0] == frame).all() and (keys[order, 1] == rank).all():
+            return order
     # The keys do not line up, so the record join raises the error naming how.
-    attach_embeddings(_detection_records(detections), _embedding_dict(keys, vecs))
+    attach_embeddings(_detection_records(detections),
+                      dict(zip(map(tuple, keys.tolist()), vecs)))
     raise AssertionError("attach_embeddings joined keys that the positional join refused")
 
 
@@ -638,8 +626,15 @@ def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:
 
 
 def load_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a UTF-8 file, CR and CRLF line ends read as LF. A byte
+    that is not UTF-8 raises ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes all the bytes at once
+        head, bad = exc.object[:exc.start], exc.object[exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(line_no, f"not UTF-8: byte {bad:#04x} ({exc.reason})") from None
 
 
 def save_text(path, text: str):

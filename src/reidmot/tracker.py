@@ -11,7 +11,6 @@ detections can keep an existing track alive but never start a new one.
 import enum
 import mmap
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -111,9 +110,10 @@ class _HistoryStore:
     position, count % (tau + 1): stage writes a new observation there
     without changing the window, features reads the window that
     observation would leave, and advance makes it part of the window and
-    records its feature, frame and box. A released slot is reused before a
-    new one is taken, so the store writes to no more slots than were ever
-    open at once. No view of the pool leaves the store: history and
+    records its feature, frame and box. A count of 0 marks a free slot, and
+    open takes the lowest free ones: a released slot is reused before a new
+    one is taken, so the store writes to no more slots than were ever open
+    at once. No view of the pool leaves the store: history and
     features return copies, which lets the pool be resized in place.
     """
 
@@ -130,23 +130,22 @@ class _HistoryStore:
         self.since = np.empty(0, dtype=np.intp)
         self.frame = np.empty(0, dtype=object)  # frames are any ints
         self.box = np.empty((0, 4), dtype=np.float64)
-        self._free_slots: list[int] = []
 
     def open(self, track_ids: np.ndarray, class_ids: list,
              class_codes: np.ndarray) -> np.ndarray:
-        """Empty slots for new tracks of these ids and classes: released
-        ones first, then the lowest new ones."""
+        """The lowest free slots (count 0) for new tracks of these ids and classes:
+        released ones lie below the never-opened ones the arrays grow by."""
         k = len(track_ids)
-        while len(self._free_slots) < k:
-            n = len(self._count)
-            more = max(n, 8)
+        free = np.flatnonzero(self._count == 0)
+        while len(free) < k:
+            more = max(len(self._count), 8)
             for name in ("_scores", "_count", "track_id", "class_id", "class_code",
                          "since", "frame", "box"):
                 held = getattr(self, name)
                 setattr(self, name, np.concatenate(
                     [held, np.zeros((more, *held.shape[1:]), held.dtype)]))
-            self._free_slots[:0] = range(n + more - 1, n - 1, -1)
-        slots = np.array([self._free_slots.pop() for _ in range(k)], dtype=np.intp)
+            free = np.flatnonzero(self._count == 0)
+        slots = free[:k]
         self.track_id[slots] = track_ids
         self.class_id[slots] = class_ids
         self.class_code[slots] = class_codes
@@ -174,9 +173,8 @@ class _HistoryStore:
         self.box[slots] = boxes
 
     def release(self, slots: np.ndarray):
-        """Close the slots."""
+        """Close the slots: a count of 0 marks a slot free."""
         self._count[slots] = 0
-        self._free_slots.extend(slots.tolist())
 
     def history(self, slot: int) -> list:
         """The slot's window as (embedding, score) pairs, oldest first, copied."""
@@ -384,15 +382,15 @@ class StepStats:
 class Tracker:
     """Stateful frame-by-frame tracker; see `step` for the per-frame protocol.
 
-    `tracks` holds every track founded so far, in founding order, and
-    `live_tracks` the ones not removed, in the same order; `step` keeps
-    both, and `_live_slots`, the live tracks' store slots in that order.
+    `tracks` holds every track founded so far, in founding order, which is
+    track-id order: ids run 1, 2, ... `step` keeps it and `_live_slots`,
+    the store slots of the tracks not removed, in the same order;
+    `live_tracks` reads those tracks through their ids.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
-        self.live_tracks: list[Track] = []
         self._store = _HistoryStore(self.config.tau)
         self._live_slots = np.empty(0, dtype=np.intp)
         self._next_id = 1
@@ -405,6 +403,11 @@ class Tracker:
         # class ids are any ints, and the class gate compares their codes.
         # Codes only ever compare, so one a rejected frame added is harmless.
         self._class_codes: dict = {}
+
+    @property
+    def live_tracks(self) -> list[Track]:
+        """The tracks not removed, in founding order."""
+        return [self.tracks[i - 1] for i in self._store.track_id[self._live_slots].tolist()]
 
     def _stage(self, slots: np.ndarray, cols: np.ndarray, gate: float, embs: np.ndarray,
                class_codes: np.ndarray):
@@ -527,26 +530,21 @@ class Tracker:
         # The removal mask is taken before the founders open slots, which
         # may be the ones the removed tracks give back.
         gone = store.since[live] > cfg.max_lost_age
-        live_tracks = self.live_tracks
         if gone.any():
-            for i in np.flatnonzero(gone).tolist():
-                live_tracks[i]._remove()
+            for track_id in store.track_id[live[gone]].tolist():
+                self.tracks[track_id - 1]._remove()
             store.release(live[gone])
             live = live[~gone]
-            live_tracks = list(compress(live_tracks, (~gone).tolist()))
         if len(founders):
             fresh = store.open(np.arange(self._next_id, self._next_id + len(founders)),
                                class_ids[founders].tolist(), class_codes[founders])
             store.stage(fresh, embs[founders], scores[founders])
             store.advance(fresh, founder_features, frame, boxes[:, founders].T)
             self._next_id += len(founders)
-            new_tracks = [Track(store, slot) for slot in fresh.tolist()]
-            self.tracks.extend(new_tracks)
-            live_tracks = live_tracks + new_tracks
+            self.tracks.extend(Track(store, slot) for slot in fresh.tolist())
             live = np.concatenate([live, fresh])
             slots = np.concatenate([slots, fresh])
             cols = np.concatenate([cols, founders])
-        self.live_tracks = live_tracks
         self._live_slots = live
         self.last_stats = StepStats(frame=frame, matched_stage1=len(slots1),
                                     matched_stage2=len(slots2), spawned=len(founders),

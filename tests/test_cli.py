@@ -1,17 +1,22 @@
 """End-to-end command tests, run in process through main(argv)."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import pathlib
 import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reidmot.io as seqio
 from reidmot import ScenarioSpec, TrackerConfig, export, generate
 from reidmot.cli import EXIT_CODES, _config_from_args, _exit_code, build_parser, main
-from reidmot.io import load_text, parse_detections, parse_gt
+from reidmot.core import group_by_frame
+from reidmot.io import load_text, parse_detections, parse_gt, write_detections, write_embeddings
 
 DATA = pathlib.Path(__file__).parent / "data"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -248,38 +253,73 @@ def test_nms_that_drops_a_box_leaves_an_orphan_embedding(tmp_path, capsys):
     assert "frame 1, index 1" in capsys.readouterr().err
 
 
-def test_nms_then_track_equals_track_with_nms(tmp_path, capsys):
-    # Frame 1: a 0.9 box at x=0, a 0.95 box at x=50 and a suppressed 0.85
-    # box at x=1; frame 2 repeats the first two. Both routes must hand the
-    # tracker the kept boxes in file order, so the 0.9 box founds track 1.
-    det = tmp_path / "det.txt"
-    emb = tmp_path / "emb.txt"
-    det.write_text("1,-1,0,0,10,10,0.9,0,-1\n1,-1,50,0,10,10,0.95,0,-1\n"
-                   "1,-1,1,0,10,10,0.85,0,-1\n"
-                   "2,-1,0,0,10,10,0.9,0,-1\n2,-1,50,0,10,10,0.95,0,-1\n")
-    emb.write_text("1,0,1,0\n1,1,0,1\n1,2,1,0\n2,0,1,0\n2,1,0,1\n")
-    direct = tmp_path / "direct.txt"
-    assert main(["track", str(det), str(emb), str(direct), "--nms-thresh", "0.5"]) == 0
+# Frame 1: a 0.9 box at x=0, a 0.95 box at x=50 and a suppressed 0.85 box
+# at x=1; frame 2 repeats the first two.
+HAND_DET = ("1,-1,0,0,10,10,0.9,0,-1\n1,-1,50,0,10,10,0.95,0,-1\n"
+            "1,-1,1,0,10,10,0.85,0,-1\n"
+            "2,-1,0,0,10,10,0.9,0,-1\n2,-1,50,0,10,10,0.95,0,-1\n")
+HAND_EMB = "1,0,1,0\n1,1,0,1\n1,2,1,0\n2,0,1,0\n2,1,0,1\n"
 
-    kept = tmp_path / "kept.txt"
-    assert main(["nms", str(det), str(kept), "--nms-thresh", "0.5"]) == 0
-    # Keep the embedding of each surviving box (the two files list the same
-    # boxes line for line), re-indexed within its frame.
-    kept_dets = parse_detections(load_text(kept))
-    survivors = [line.split(",", 2) for line, d in zip(emb.read_text().splitlines(),
-                                                       parse_detections(load_text(det)))
-                 if d in kept_dets]
-    rows = []
-    for frame, group in itertools.groupby(survivors, key=lambda row: row[0]):
-        rows += [f"{frame},{index},{vec}\n" for index, (_, _, vec) in enumerate(group)]
-    kept_emb = tmp_path / "kept_emb.txt"
-    kept_emb.write_text("".join(rows))
-    via_nms = tmp_path / "via_nms.txt"
-    assert main(["track", str(kept), str(kept_emb), str(via_nms)]) == 0
-    capsys.readouterr()
 
+@st.composite
+def synth_texts(draw):
+    """The detection and embedding texts of a small synth scenario, in an
+    arena small enough that the 40 px boxes of its identities and clutter
+    often overlap."""
+    side = draw(st.sampled_from([48.0, 80.0, 160.0]))
+    bundle = generate(ScenarioSpec(
+        num_identities=draw(st.integers(1, 6)), num_frames=draw(st.integers(1, 6)),
+        embedding_dim=4, embed_noise_sigma=0.1, min_identity_separation=0.5,
+        clutter_rate=draw(st.sampled_from([0.0, 1.0, 3.0])), arena=(side, side),
+        seed=draw(st.integers(0, 2**16))))
+    return (write_detections([d for fi in bundle.frames for d in fi.detections]),
+            write_embeddings(bundle.frames))
+
+
+def _kept_embeddings(det_text, kept_text, emb_text):
+    """The embedding lines of the detections `reidmot nms` kept, re-indexed
+    within each frame. The kept detections are the frame's in file order,
+    less the dropped ones, so each is the first one left that equals it."""
+    kept = group_by_frame(parse_detections(kept_text))
+    positions = set()
+    for frame, dets in group_by_frame(parse_detections(det_text)).items():
+        left = iter(enumerate(dets))
+        positions |= {(frame, next(i for i, d in left if d == k)) for k in kept.get(frame, [])}
+    rows = [line.split(",", 2) for line in emb_text.splitlines()]
+    rows = sorted((int(f), int(i), vec) for f, i, vec in rows if (int(f), int(i)) in positions)
+    return "".join(f"{f},{index},{vec}\n" for _, group in itertools.groupby(rows, lambda r: r[0])
+                   for index, (f, _, vec) in enumerate(group))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(synth_texts(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+@example(scenario=(HAND_DET, HAND_EMB), nms_thresh=0.5)
+def test_nms_then_track_equals_track_with_nms(tmp_path_factory, scenario, nms_thresh):
+    # Both routes must hand the tracker the kept boxes in file order.
+    det_text, emb_text = scenario
+    base = tmp_path_factory.mktemp("nms")
+    det, emb, kept, kept_emb = (base / name for name in ("det", "emb", "kept", "kept_emb"))
+    det.write_text(det_text)
+    emb.write_text(emb_text)
+    direct, via_nms = base / "direct", base / "via_nms"
+    thresh = ["--nms-thresh", repr(nms_thresh)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["track", str(det), str(emb), str(direct), *thresh]) == 0
+        assert main(["nms", str(det), str(kept), *thresh]) == 0
+        kept_emb.write_text(_kept_embeddings(det_text, load_text(kept), emb_text))
+        assert main(["track", str(kept), str(kept_emb), str(via_nms)]) == 0
     assert via_nms.read_bytes() == direct.read_bytes()
-    first = [e for e in parse_gt(load_text(direct)) if e.identity == 1]
+
+
+def test_track_with_nms_founds_on_the_first_kept_box(tmp_path, capsys):
+    # The hand case: the 0.9 box at x=0 comes first in the file, so it
+    # founds track 1 in both frames though the 0.95 box outscores it.
+    det, emb, results = tmp_path / "det", tmp_path / "emb", tmp_path / "results"
+    det.write_text(HAND_DET)
+    emb.write_text(HAND_EMB)
+    assert main(["track", str(det), str(emb), str(results), "--nms-thresh", "0.5"]) == 0
+    capsys.readouterr()
+    first = [e for e in parse_gt(load_text(results)) if e.identity == 1]
     assert [e.bbox.x for e in first] == [0.0, 0.0]
 
 
@@ -342,6 +382,70 @@ def test_non_finite_input_exits_3(tmp_path, capsys, det_text, emb_text, line):
     assert rc == 3
     err = capsys.readouterr().err
     assert f"line {line}" in err and "finite" in err
+
+
+# Small valid files, each command's input.
+VALID_FILES = {
+    "det": b"1,-1,0,0,10,10,0.9,0,-1\n1,-1,5,0,10,10,0.5,0,-1\n2,-1,0,0,10,10,0.95,1,-1\n",
+    "emb": b"1,0,1,0\n1,1,0.6,0.8\n2,0,0,1\n",
+    "gt": b"1,1,0,0,10,10,1,0,1\n1,2,5,0,10,10,1,0,1\n2,1,0,0,10,10,1,0,1\n",
+    "results": b"1,1,0,0,10,10,0.9,0,-1\n2,1,1,0,10,10,0.95,1,-1\n",
+}
+COMMANDS = [["track", "det", "emb", "out"], ["track", "det", "emb", "out", "--nms-thresh", "0.5"],
+            ["eval", "gt", "results"], ["nms", "det", "out"]]
+
+
+def _run(command, base, files):
+    """main() on `command`, its file words made paths under `base`."""
+    return main([str(base / word) if word in {*files, "out"} else word for word in command])
+
+
+@pytest.mark.parametrize("command, bad", [
+    (COMMANDS[0], "det"), (COMMANDS[0], "emb"), (COMMANDS[2], "gt"), (COMMANDS[2], "results"),
+    (COMMANDS[3], "det"),
+], ids=["track-det", "track-emb", "eval-gt", "eval-results", "nms-det"])
+def test_a_byte_that_is_not_utf8_exits_3_naming_its_line(tmp_path, capsys, command, bad):
+    files = dict(VALID_FILES)
+    files[bad] = files[bad].replace(b"\n", b"\r\n\xff", 1)  # line 1 ends in CRLF
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert _run(command, tmp_path, files) == 3
+    assert capsys.readouterr().err == \
+        "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+# Bytes that break an encoding, a line, a field or a number, or any byte.
+DAMAGE_BYTES = st.one_of(st.sampled_from(list(b"\xff\x80\xc3\n\r,-.0 9e#n\x0c\x1c")),
+                         st.integers(0, 255))
+
+
+@st.composite
+def damaged_files(draw):
+    """VALID_FILES with one to four bytes replaced, inserted or deleted."""
+    files = dict(VALID_FILES)
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(sorted(files)))
+        data = bytearray(files[name])
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del data[at]
+        else:
+            data[at:at + (edit == "replace")] = bytes([draw(DAMAGE_BYTES)])
+        files[name] = bytes(data)
+    return files
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(damaged_files())
+def test_a_damaged_file_never_exits_1(tmp_path_factory, files):
+    # Exit 1 is for a fault in reidmot, never for its input; main raises nothing.
+    base = tmp_path_factory.mktemp("damaged")
+    for name, data in files.items():
+        (base / name).write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [_run(command, base, files) for command in COMMANDS]
+    assert all(code == 0 or 3 <= code <= 14 for code in codes), codes
 
 
 def test_orphan_embedding_exits_14(tmp_path, capsys):

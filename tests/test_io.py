@@ -164,7 +164,8 @@ def test_write_embeddings_still_names_a_missing_embedding():
 
 def test_clean_embedding_file_takes_the_columnar_path(monkeypatch):
     text = "1,0,3,4\n1,1,0,2\n2,0,-1,0\n"
-    want = seqio._parse_embedding_lines(text, None)
+    keys, vecs = seqio._parse_embedding_lines(text, None)
+    want = dict(zip(map(tuple, keys.tolist()), vecs))
 
     def no_line_parser(*args):
         raise AssertionError("the line parser ran on a clean file")
@@ -339,6 +340,58 @@ def test_detection_columns_equal_parse_detections(text):
         return seqio._detection_records(seqio._parse_detection_columns(source))
 
     assert _detections_outcome(columns, text) == _detections_outcome(parse_detections, text)
+
+
+# Characters str.splitlines() breaks at besides LF and CR. A file's lines end
+# at LF only (load_text reads CR and CRLF as LF), and a line's edge
+# whitespace, these included, is stripped.
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS,
+                         ids=[f"{ord(c):#x}" for c in OTHER_LINE_BREAKS])
+@pytest.mark.parametrize("parse, text, reason", [
+    (parse_gt, "1,1,0,0,10,10,1,0,1{}\n1,x,0,0,10,10,1,0,1\n", "non-integer identity: 'x'"),
+    (seqio._parse_box_table, "1,1,0,0,10,10,1,0,1{}\n1,x,0,0,10,10,1,0,1\n",
+     "non-integer identity: 'x'"),
+    (parse_detections, "1,-1,0,0,10,10,0.9,0,-1{}\n1,-1,0,0,10,10,0.9,x,-1\n",
+     "non-integer class: 'x'"),
+    (seqio._parse_detection_columns, "1,-1,0,0,10,10,0.9,0,-1{}\n1,-1,0,0,10,10,0.9,x,-1\n",
+     "non-integer class: 'x'"),
+    (parse_embeddings, "1,0,1,0{}\n1,x,1,0\n", "non-integer index: 'x'"),
+], ids=["gt", "box-table", "detections", "detection-columns", "embeddings"])
+def test_other_line_breaks_keep_the_line_numbers(char, parse, text, reason):
+    with pytest.raises(ParseError, match=f"^line 2: {reason}$"):
+        parse(text.format(char))
+
+
+# The characters np.loadtxt takes beside a number, as whitespace, and int()
+# and float() do not.
+SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=[f"{ord(c):#x}" for c in SEPARATORS])
+@pytest.mark.parametrize("columnar, parse, text", [
+    (seqio._parse_box_table, parse_gt, "1,1,0{},0,10,10,1,0,1\n"),
+    (seqio._parse_detection_columns, parse_detections, "1,-1,0,0,10,10,0.9,{}0,-1\n"),
+    (parse_embeddings, lambda text: seqio._parse_embedding_lines(text, None), "1,0,3{},4\n"),
+], ids=["gt", "detections", "embeddings"])
+def test_a_separator_beside_a_number_is_refused_on_both_paths(sep, columnar, parse, text):
+    with pytest.raises(ParseError) as want:
+        parse(text.format(sep))
+    with pytest.raises(ParseError) as got:
+        columnar(text.format(sep))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # Far past the first block a read takes, after two-byte characters.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(("\u00e9" + newline).encode() * 20_000 + b"\xc3(\n")
+    with pytest.raises(ParseError, match=r"^line 20001: not UTF-8: byte 0xc3 \(invalid "
+                                         r"continuation byte\)$"):
+        seqio.load_text(path)
 
 
 FLOAT_KEY_TEXTS = ["1.0,0,0.6,0.8\n", "1,0.5,0.6,0.8\n", "1.9,0,0.6,0.8\n"]
@@ -734,17 +787,17 @@ def embedding_files(draw):
 
 def _parse_outcome(parse, text, expected_dim):
     try:
-        emb = parse(text, expected_dim)
+        keys, vecs = parse(text, expected_dim)
     except TrackingError as exc:
         return type(exc), str(exc)
-    return [(key, vec.tobytes()) for key, vec in emb.items()]
+    return [(tuple(key), vec.tobytes()) for key, vec in zip(keys.tolist(), vecs)]
 
 
 @settings(derandomize=True, max_examples=600, database=None, deadline=None)
 @given(embedding_files(), st.sampled_from([None, 2, 3]))
 @example(text="1,0,1e200,0\n", expected_dim=None)
 def test_columnar_embedding_parse_equals_the_line_parser(text, expected_dim):
-    assert (_parse_outcome(parse_embeddings, text, expected_dim)
+    assert (_parse_outcome(seqio._parse_embedding_columns, text, expected_dim)
             == _parse_outcome(seqio._parse_embedding_lines, text, expected_dim))
 
 

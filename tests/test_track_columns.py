@@ -31,6 +31,7 @@ from reidmot import (
     write_results,
 )
 from reidmot.cli import _exit_code, main
+from reidmot.core import _exact_column, _frame_rows
 
 
 def _record_pipeline(det_text, emb_text, config, nms_thresh=None):
@@ -189,3 +190,49 @@ def test_embeddings_that_do_not_join_past_int64_fail_as_the_records_do(tmp_path,
     got = _track(tmp_path, det_text, emb_text)
     assert got == _record_pipeline(det_text, emb_text, TrackerConfig())
     assert got[0] == code
+
+
+def _join_outcome(join):
+    try:
+        return join()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Frame values on both sides of int64's top, so the frame and key columns
+# are int64 or object arrays, in every mix.
+JOIN_FRAMES = [1, 2, 5, 2**63 - 1, 2**63, BIG]
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(JOIN_FRAMES), st.integers(0, 3)), max_size=5,
+                unique_by=lambda frame_count: frame_count[0]),
+       st.sampled_from(["none", "drop", "add", "both"]), st.data())
+def test_the_positional_join_lines_up_or_fails_as_attach_embeddings(frame_counts, damage, data):
+    # Damage drops a key, adds one that no detection takes, or both, so
+    # that as many keys as detections can still fail to line up.
+    frames = [frame for frame, count in sorted(frame_counts) for _ in range(count)]
+    n = len(frames)
+    detections = seqio._DetectionColumns(_exact_column(frames), np.ones((4, n)),
+                                         np.full(n, 0.9), np.zeros(n, dtype=np.int64))
+    ranks = [frames[:k].count(frame) for k, frame in enumerate(frames)]
+    keys = list(zip(frames, ranks))
+    if damage in ("drop", "both") and keys:
+        keys.pop(data.draw(st.integers(0, n - 1)))
+    if damage in ("add", "both"):
+        extra = data.draw(st.tuples(st.sampled_from(JOIN_FRAMES), st.integers(0, 4)))
+        keys += [] if extra in zip(frames, ranks) else [extra]
+    keys = data.draw(st.permutations(keys))
+    key_array = _exact_column(keys).reshape(-1, 2)
+    vecs = np.arange(2.0 * len(keys)).reshape(-1, 2)
+
+    want = _join_outcome(lambda: attach_embeddings(
+        seqio._detection_records(detections), dict(zip(keys, vecs))))
+    got = _join_outcome(lambda: seqio._embedding_rows(
+        detections, _frame_rows(detections.frame), key_array, vecs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert [tuple(key) for key in key_array[got].tolist()] == list(zip(frames, ranks))
+        assert [d.embedding.tolist() for fi in want for d in fi.detections] \
+            == vecs[got].tolist()

@@ -501,7 +501,7 @@ def test_step_raises_zero_weight_for_a_track_founded_at_score_zero():
 
 
 def _open_slots(store):
-    return len(store._count) - len(store._free_slots)
+    return int(np.count_nonzero(store._count))
 
 
 def _tracker_state(tracker):
