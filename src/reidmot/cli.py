@@ -163,12 +163,12 @@ def _cmd_synth(args) -> int:
         high_thresh=args.high_thresh,
         seed=args.seed,
     )
-    bundle = synthmod.generate(spec)
-    paths = synthmod.export(bundle, args.out_dir)
-    n_dets = sum(len(fi.detections) for fi in bundle.frames)
+    draw = synthmod._draw(spec)
+    paths = synthmod._export_draw(draw, args.out_dir)
     print(
         f"generated {spec.num_identities} identities over {spec.num_frames} frames "
-        f"(seed {spec.seed}): {n_dets} detections, {len(bundle.gt)} gt boxes -> "
+        f"(seed {spec.seed}): {len(draw.detections.frame)} detections, "
+        f"{len(draw.gt)} gt boxes -> "
         + ", ".join(paths[k] for k in sorted(paths)),
         file=sys.stderr,
     )

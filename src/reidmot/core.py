@@ -141,17 +141,23 @@ def normalize_embedding(raw, dim: int | None = None) -> np.ndarray:
     return arr / norm
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a 2-D float64 array by one row-by-row
+    matmul, which gives a row the bits np.linalg.norm gives it alone,
+    whatever else is in the array; norm(axis=1) or einsum would not."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def unit_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row of a 2-D float64 array divided by its L2 norm (into `out`, if given).
 
-    The row-matmul norm has the bits of np.linalg.norm on each row, whatever
-    else is in the array, so a row comes out as normalize_embedding scales
-    it; norm(axis=1) or einsum would not. A zero, tiny or non-finite norm,
-    one that overflowed to inf included, goes to normalize_embedding, which
-    raises its error for the first such row before anything is written.
+    The norms are _row_norms', so a row comes out as normalize_embedding
+    scales it. A zero, tiny or non-finite norm, one that overflowed to inf
+    included, goes to normalize_embedding, which raises its error for the
+    first such row before anything is written.
     """
     with np.errstate(over="ignore"):  # an overflowed norm raises below
-        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+        norms = _row_norms(rows)
     for k in np.flatnonzero(~(np.isfinite(norms) & (norms >= ZERO_NORM_EPS))):
         normalize_embedding(rows[k])
     return np.divide(rows, norms[:, None], out=out)

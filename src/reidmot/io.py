@@ -19,8 +19,11 @@ ParseError for the line.
 Results are written with 6-decimal reals; detection and ground-truth writers
 use repr floats so a write/parse round trip is lossless. Embeddings are
 written with 6-decimal components: one numpy kernel formats every row whose
-"%.6f" text it can prove (_format_rows), and the one row template,
-",".join(["%.6f"] * d), formats the rest, so both give the same bytes.
+"%.6f" text it can prove (_format_rows, a block of rows at a time), and the
+one row template, ",".join(["%.6f"] * d), formats the rest, so both give
+the same bytes. Each writer has a column form that `reidmot synth` writes
+with (_detection_text, _embedding_text, _gt_text), through the same row
+template or kernel.
 
 Embedding texts, the detection texts `reidmot track` reads, and the
 gt/results texts `reidmot eval` scores, are first read in one columnar
@@ -458,16 +461,26 @@ def _parse_box_table(text: str) -> BoxTable:
     return BoxTable.from_records(entries, [e.identity for e in entries])
 
 
+# One detection line and one ground-truth line, reals as repr (a lossless
+# round trip): the templates of write_detections and _detection_text, and
+# of write_gt and _gt_text. A real must be a float, whose %r is its repr.
+_DETECTION_ROW = "%s,-1,%r,%r,%r,%r,%r,%s,-1\n"
+_GT_ROW = "%s,%s,%r,%r,%r,%r,1,%s,1\n"
+
+
 def write_detections(detections) -> str:
     """Detection lines with repr floats (lossless round trip)."""
-    lines = []
-    for d in detections:
-        b = d.bbox
-        lines.append(
-            f"{d.frame},-1,{float(b.x)!r},{float(b.y)!r},{float(b.w)!r},"
-            f"{float(b.h)!r},{float(d.score)!r},{d.class_id},-1"
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join([_DETECTION_ROW % (d.frame, float(d.bbox.x), float(d.bbox.y),
+                                      float(d.bbox.w), float(d.bbox.h), float(d.score),
+                                      d.class_id) for d in detections])
+
+
+def _detection_text(columns: _DetectionColumns) -> str:
+    """write_detections of the records that `columns` hold, as
+    _detection_records gives them."""
+    frame, boxes, scores, class_id = columns
+    return "".join(map(_DETECTION_ROW.__mod__, zip(frame.tolist(), *boxes.tolist(),
+                                                   scores.tolist(), class_id.tolist())))
 
 
 def write_embeddings(frames) -> str:
@@ -482,11 +495,20 @@ def write_embeddings(frames) -> str:
     dim = None
     for fi in frames:
         dim = embedding_dim(fi.frame, fi.detections, dim)
-        keys += [f"{fi.frame},{index}," for index in range(len(fi.detections))]
+        keys += [(fi.frame, index) for index in range(len(fi.detections))]
         embs += [det.embedding for det in fi.detections]
     if not embs:
         return ""
-    return "".join(key + row + "\n" for key, row in zip(keys, _format_rows(embs)))
+    nan_row = np.full(dim, np.nan)  # a row the kernel leaves to the template
+    block = np.array([e if e.dtype.kind in "biuf" else nan_row for e in embs], np.float64)
+    return _embedding_text(keys, block, embs)
+
+
+def _embedding_text(keys, block: np.ndarray, rows=None) -> str:
+    """Embedding lines: the k-th (frame, index) pair of `keys`, then row k
+    of the (N, d) float64 `block` as _format_rows writes it, `rows` as there."""
+    return "".join([f"{frame},{index},{row}\n"
+                    for (frame, index), row in zip(keys, _format_rows(block, rows))])
 
 
 # A component as the kernel writes it: 10 bytes, a sign byte (0, a pad, for
@@ -502,16 +524,24 @@ _FRACTION_LOW = np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(
                               "<u4").astype(np.uint64) << np.uint64(32)
 
 
-def _format_rows(embs: list[np.ndarray]) -> list[str]:
-    """Each embedding as ",".join(["%.6f"] * d) % tuple(emb.tolist()) gives it.
+# Rows per block of _format_rows: each of its temporaries holds about
+# 8 bytes a component, so at dimension 128 it stays near 256 KiB, within a
+# core's cache.
+_FORMAT_BLOCK_ROWS = 256
 
-    One kernel formats every row it can prove: k = rint(v * 1e6) in a
-    float64 matrix, the sign from signbit (so -0.0 and -4e-7 give
-    "-0.000000"), the digits of |k| as byte words, the pad bytes dropped
-    with one mask and the text decoded once. A row whose dtype is not
-    real, or with a component that is not finite, rounds to 10 or more, or
-    whose product v * 1e6 lies exactly halfway between two integers, goes
-    through the template instead.
+
+def _format_rows(block: np.ndarray, rows=None) -> list[str]:
+    """Each row of the (N, d) float64 `block` as ",".join(["%.6f"] * d)
+    formats it, without its line end.
+
+    One kernel formats, _FORMAT_BLOCK_ROWS rows at a time, every row it can
+    prove: k = rint(v * 1e6), the sign byte from a signbit view (so -0.0
+    and -4e-7 give "-0.000000"), the digits of |k| as byte words, the pad
+    bytes dropped from the block's bytes and the text decoded once. A row
+    with a component that is not finite (a row whose dtype is not real
+    comes as nan), rounds to 10 or more, or whose product v * 1e6 lies
+    exactly halfway between two integers, goes through the template
+    instead, with row k of `rows` (the block's own rows by default).
 
     "%.6f" rounds the exact v * 10**6 to the nearest integer. The float64
     product is correctly rounded, so it is monotone in the exact one, and
@@ -519,30 +549,32 @@ def _format_rows(embs: list[np.ndarray]) -> list[str]:
     0.5 of k means the exact one is too, and rounds to k. Only a product
     on a tie leaves the exact one's side unknown.
     """
-    dim = embs[0].shape[0]
-    nan_row = np.full(dim, np.nan)  # a row the kernel leaves to the template
-    matrix = np.array([e if e.dtype.kind in "biuf" else nan_row for e in embs], np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fall back
-        scaled = matrix * 1e6
-        k = np.rint(scaled)
-        provable = ((np.abs(scaled - k) < 0.5) & (np.abs(k) < 1e7)).all(axis=1)
-    if not provable.all():
-        matrix, k = matrix[provable], k[provable]
-    magnitude = np.abs(k).astype(np.int32)
-    thousands = magnitude // 1000
-    integer = thousands // 1000
+    rows = block if rows is None else rows
+    dim = block.shape[1]
+    row_fmt = ",".join(["%.6f"] * dim)
     separators = np.full(dim, ord(",") << 56, np.uint64)
     separators[-1] = ord("\n") << 56
-    plane = np.empty(k.shape, _COMPONENT)
-    plane["head"] = ((integer.astype(np.uint16) + ord("0")) << 8
-                     | np.where(np.signbit(matrix), np.uint16(ord("-")), np.uint16(0)))
-    plane["tail"] = (_FRACTION_HIGH[thousands - integer * 1000]
-                     | _FRACTION_LOW[magnitude - thousands * 1000] | separators)
-    chars = plane.view(np.uint8).ravel()
-    rows = iter(chars[chars != 0].tobytes().decode("ascii").split("\n"))
-    row_fmt = ",".join(["%.6f"] * dim)
-    return [next(rows) if exact else row_fmt % tuple(emb.tolist())
-            for emb, exact in zip(embs, provable.tolist())]
+    text = []
+    for start in range(0, len(block), _FORMAT_BLOCK_ROWS):
+        matrix = block[start:start + _FORMAT_BLOCK_ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fall back
+            scaled = matrix * 1e6
+            k = np.rint(scaled)
+            provable = ((np.abs(scaled - k) < 0.5) & (np.abs(k) < 1e7)).all(axis=1)
+        if not provable.all():
+            matrix, k = matrix[provable], k[provable]
+        magnitude = np.abs(k).astype(np.int32)
+        thousands = magnitude // 1000
+        integer = thousands // 1000
+        plane = np.empty(k.shape, _COMPONENT)
+        plane["head"] = ((integer.astype(np.uint16) + ord("0")) << 8
+                         | np.signbit(matrix).view(np.uint8) * np.uint8(ord("-")))
+        plane["tail"] = (_FRACTION_HIGH[thousands - integer * 1000]
+                         | _FRACTION_LOW[magnitude - thousands * 1000] | separators)
+        kernel_rows = iter(plane.tobytes().replace(b"\0", b"").decode("ascii").split("\n"))
+        text += [next(kernel_rows) if proved else row_fmt % tuple(rows[row].tolist())
+                 for row, proved in enumerate(provable.tolist(), start=start)]
+    return text
 
 
 # One results line: frame, track id, x, y, w, h, score, class id. The one
@@ -568,14 +600,15 @@ def _results_text(frames) -> str:
 
 def write_gt(entries) -> str:
     """Ground-truth lines with repr floats; score and visibility fixed at 1."""
-    lines = []
-    for e in entries:
-        b = e.bbox
-        lines.append(
-            f"{e.frame},{e.identity},{float(b.x)!r},{float(b.y)!r},{float(b.w)!r},"
-            f"{float(b.h)!r},1,{e.class_id},1"
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join([_GT_ROW % (e.frame, e.identity, float(e.bbox.x), float(e.bbox.y),
+                               float(e.bbox.w), float(e.bbox.h), e.class_id)
+                    for e in entries])
+
+
+def _gt_text(table: BoxTable) -> str:
+    """write_gt of the entries whose columns `table` holds."""
+    return "".join(map(_GT_ROW.__mod__, zip(table.frame.tolist(), table.ids.tolist(),
+                                            *table.boxes.tolist(), table.class_id.tolist())))
 
 
 def _check_iou_thresh(iou_thresh: float):

@@ -7,18 +7,47 @@ and are observed each frame through optional embedding noise, score dips,
 dropout, and Poisson background clutter. Everything is driven by one numpy
 PCG64 generator, so a ScenarioSpec is a complete, reproducible description:
 equal spec in, byte-equal scenario out.
+
+_draw, the one home of the draw order, draws a scenario into columns: the
+detections' frame, box and score columns, one (N, d) float64 block of
+their embeddings, and the ground truth as a BoxTable. `reidmot synth`
+writes its three files straight from those columns (_export_draw), with
+the row templates of the record writers; generate builds the records from
+them, and export writes records. The embedding writer formats the block a
+fixed number of rows at a time, so its temporaries do not grow with the
+scenario.
 """
 
 import os
 from dataclasses import dataclass
 from math import isfinite
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BBox, Detection, FrameInput, GtEntry, check_integer, check_real
+from .core import (
+    BBox,
+    BoxTable,
+    Detection,
+    FrameInput,
+    GtEntry,
+    _row_norms,
+    check_integer,
+    check_real,
+)
 from .errors import ConfigError, SeparationInfeasibleError
-from .io import SequenceBundle, save_text, write_detections, write_embeddings, write_gt
+from .io import (
+    SequenceBundle,
+    _DetectionColumns,
+    _detection_text,
+    _embedding_text,
+    _gt_text,
+    save_text,
+    write_detections,
+    write_embeddings,
+    write_gt,
+)
 
 BOX_SIZE = 40.0
 # The largest speed along each axis, in px per frame. An arena side at least
@@ -44,9 +73,11 @@ MAX_BASES_CELLS = 2**24
 # plus its embedding, and a clutter draw keeps less: 5.3 GB at embedding_dim 1.
 MAX_RECORD_CELLS = 10_000_000
 # num_frames * num_identities * embedding_dim, clutter_rate counted likewise:
-# the float64 embedding generate copies into each detection, and each float64
-# matrix write_embeddings builds over the same cells, stay within 1.28 GB;
-# every record still fits at the default embedding_dim of 16.
+# the one (N, d) float64 block of embeddings _draw fills, and the vectors it
+# draws before it copies them there, stay within 1.28 GB each; the embedding
+# writer's temporaries are bounded by its block of io._FORMAT_BLOCK_ROWS
+# rows, and generate's detections hold views of the block. Every record
+# still fits at the default embedding_dim of 16.
 MAX_EMBEDDING_CELLS = 16 * MAX_RECORD_CELLS
 # Far above the rounding gap between two sums of the d products of two unit
 # vectors (about d * 1e-16), so it only widens the band that np.dot re-checks.
@@ -230,15 +261,31 @@ def _advance(pos, vel, limit) -> tuple[np.ndarray, np.ndarray]:
     return pos, np.where(out, -vel, vel)
 
 
-def generate(spec: ScenarioSpec) -> SequenceBundle:
-    """Generate the scenario described by `spec`.
+class _Draw(NamedTuple):
+    """A scenario as columns: its detections in frame order (within a frame
+    the identities' in identity order, then the clutter's), their (N, d)
+    block of unit embeddings, and the ground truth by frame, then identity."""
 
-    Deterministic: one PCG64 stream seeded with spec.seed drives base
-    sampling, motion, dropout, noise and clutter in a fixed order.
+    detections: _DetectionColumns
+    embeddings: np.ndarray
+    gt: BoxTable
+
+
+def _draw(spec: ScenarioSpec) -> _Draw:
+    """The scenario described by `spec`, drawn into columns.
+
+    The one home of the draw order: one PCG64 stream seeded with spec.seed
+    drives base sampling, motion, dropout, noise and clutter in a fixed
+    order, one call per draw (batched draws would change the stream).
 
     Each frame reads the dip and dropout windows that cover it; the first
     listed dip wins. The dropout_prob draw is made for every identity, hidden
     or not, so windows leave the stream as it is.
+
+    The vectors drawn become the embedding block at the end: an identity's
+    is its base plus its noise, a clutter detection's is drawn as it is,
+    and every drawn row is divided by its norm (core._row_norms, the bits of
+    np.linalg.norm). With no noise an identity's embedding is its base.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     bases = _sample_bases(rng, spec)
@@ -250,8 +297,10 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
     pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
     vel = rng.uniform(-MAX_SPEED, MAX_SPEED, size=(spec.num_identities, 2))
 
-    frames = []
-    gt = []
+    sigma, dim = spec.embed_noise_sigma, spec.embedding_dim
+    corners = np.empty((spec.num_frames, spec.num_identities, 2))
+    rows = []  # (frame, source, x, y, score) per detection; clutter's source is -1
+    draws = []  # the vector each drawn row draws, in row order
     for frame in range(1, spec.num_frames + 1):
         hidden = {identity for start, end, identity in spec.dropout_windows
                   if start <= frame <= end}
@@ -259,51 +308,66 @@ def generate(spec: ScenarioSpec) -> SequenceBundle:
         dipped = {identity: float(score)
                   for start, end, identity, score in reversed(spec.score_dips)
                   if start <= frame <= end}
-        dets = []
+        corners[frame - 1] = pos
+        xy = pos.tolist()
         for i in range(spec.num_identities):
-            identity = i + 1
-            bbox = BBox(float(pos[i, 0]), float(pos[i, 1]), BOX_SIZE, BOX_SIZE)
-            gt.append(GtEntry(frame=frame, identity=identity, bbox=bbox, class_id=0))
-            observed = identity not in hidden
+            observed = i + 1 not in hidden
             if spec.dropout_prob > 0.0 and rng.random() < spec.dropout_prob:
                 observed = False
             if not observed:
                 continue
-            if spec.embed_noise_sigma > 0.0:
-                emb = bases[i] + rng.normal(0.0, spec.embed_noise_sigma,
-                                            size=spec.embedding_dim)
-                emb /= np.linalg.norm(emb)
-            else:
-                emb = bases[i].copy()
-            dets.append(Detection(
-                frame=frame,
-                bbox=bbox,
-                score=dipped.get(identity, BASE_SCORE),
-                class_id=0,
-                embedding=emb,
-            ))
+            if sigma > 0.0:
+                draws.append(rng.normal(0.0, sigma, size=dim))
+            rows.append((frame, i, *xy[i], dipped.get(i + 1, BASE_SCORE)))
         if spec.clutter_rate > 0.0:
             for _ in range(int(rng.poisson(spec.clutter_rate))):
                 cx = float(rng.uniform(0.0, max_x))
                 cy = float(rng.uniform(0.0, max_y))
-                cemb = rng.normal(size=spec.embedding_dim)
-                cemb /= np.linalg.norm(cemb)
-                cscore = float(rng.uniform(spec.low_thresh, spec.high_thresh))
-                dets.append(Detection(
-                    frame=frame,
-                    bbox=BBox(cx, cy, BOX_SIZE, BOX_SIZE),
-                    score=cscore,
-                    class_id=0,
-                    embedding=cemb,
-                ))
-        frames.append(FrameInput(frame=frame, detections=tuple(dets)))
-
+                draws.append(rng.normal(size=dim))
+                rows.append((frame, -1, cx, cy, float(rng.uniform(spec.low_thresh,
+                                                                  spec.high_thresh))))
         pos, vel = _advance(pos, vel, limit)
 
+    frame, source, x, y, score = np.array(rows, np.float64).reshape(-1, 5).T
+    source = source.astype(np.intp)
+    identity = source >= 0
+    drawn = np.array(draws).reshape(-1, dim)
+    del draws
+    if sigma > 0.0:  # every row drew
+        embeddings = drawn
+        embeddings[identity] += bases[source[identity]]
+        embeddings /= _row_norms(embeddings)[:, None]
+    else:  # only the clutter drew
+        embeddings = np.empty((len(source), dim))
+        embeddings[identity] = bases[source[identity]]
+        embeddings[~identity] = drawn / _row_norms(drawn)[:, None]
+    sides = np.full(len(x), BOX_SIZE)
+    detections = _DetectionColumns(frame.astype(np.int64), np.array([x, y, sides, sides]),
+                                   score, np.zeros(len(x), np.int64))
+
+    gt_frame = np.repeat(np.arange(1, spec.num_frames + 1), spec.num_identities)
+    gt_x, gt_y = corners.reshape(-1, 2).T
+    sides = np.full(len(gt_x), BOX_SIZE)
+    gt = BoxTable(gt_frame, np.tile(np.arange(1, spec.num_identities + 1), spec.num_frames),
+                  np.array([gt_x, gt_y, sides, sides]), np.zeros(len(gt_x), np.int64))
+    return _Draw(detections, embeddings, gt)
+
+
+def generate(spec: ScenarioSpec) -> SequenceBundle:
+    """Generate the scenario described by `spec` (see _draw) as records.
+
+    Deterministic: equal specs give equal scenarios, embeddings bit for bit.
+    """
+    (frame, boxes, scores, class_id), embeddings, gt = _draw(spec)
+    dets = list(map(Detection, frame.tolist(), map(BBox, *boxes.tolist()), scores.tolist(),
+                    class_id.tolist(), embeddings))
+    bounds = np.searchsorted(frame, np.arange(1, spec.num_frames + 2)).tolist()
     return SequenceBundle(
         name=f"synth-{spec.seed}",
-        frames=tuple(frames),
-        gt=tuple(gt),
+        frames=tuple(FrameInput(f, tuple(dets[bounds[f - 1]:bounds[f]]))
+                     for f in range(1, spec.num_frames + 1)),
+        gt=tuple(map(GtEntry, gt.frame.tolist(), gt.ids.tolist(), map(BBox, *gt.boxes.tolist()),
+                     gt.class_id.tolist())),
     )
 
 
@@ -318,3 +382,16 @@ def export(bundle: SequenceBundle, out_dir) -> dict[str, str]:
     if bundle.gt is not None:
         paths["gt"] = save_text(os.path.join(out_dir, "gt.txt"), write_gt(bundle.gt))
     return paths
+
+
+def _export_draw(draw: _Draw, out_dir) -> dict[str, str]:
+    """export of the scenario `draw` holds, written from its columns."""
+    os.makedirs(out_dir, exist_ok=True)
+    frame = draw.detections.frame
+    rank = np.arange(len(frame)) - np.searchsorted(frame, frame)  # the index in its frame
+    return {
+        "det": save_text(os.path.join(out_dir, "det.txt"), _detection_text(draw.detections)),
+        "emb": save_text(os.path.join(out_dir, "emb.txt"),
+                         _embedding_text(zip(frame.tolist(), rank.tolist()), draw.embeddings)),
+        "gt": save_text(os.path.join(out_dir, "gt.txt"), _gt_text(draw.gt)),
+    }

@@ -15,7 +15,10 @@ raises the package's error class, whose message the tests compare), and
 the wall reflection of synthetic motion goes one identity and one axis at
 a time, as the package did before it reflected every coordinate at once,
 and the synthetic score dips and dropout windows are scanned for each
-(frame, identity), as the package did before it built them into tables.
+(frame, identity), as the package did before it built them into tables,
+and the synthetic scenario is generated one record at a time, each
+embedding divided by its own np.linalg.norm, as the package did before it
+drew the scenario into columns.
 If the fast paths drift, these catch it.
 """
 
@@ -25,8 +28,10 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from reidmot.core import BBox, Detection, FrameInput, GtEntry
 from reidmot.errors import SeparationInfeasibleError
-from reidmot.synth import BASE_SCORE
+from reidmot.io import SequenceBundle
+from reidmot.synth import BASE_SCORE, BOX_SIZE, MAX_SAMPLING_ATTEMPTS, MAX_SPEED
 
 
 def brute_force_assignment(costs):
@@ -371,3 +376,55 @@ def scan_dropped(spec, frame, identity):
         win_id == identity and start <= frame <= end
         for start, end, win_id in spec.dropout_windows
     )
+
+
+def reference_generate(spec):
+    """The scenario of `spec` built one (frame, identity) record at a time.
+
+    The bases come from loop_sample_bases and the motion from loop_reflect;
+    every noisy or clutter embedding is divided by its own np.linalg.norm.
+    """
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    bases = loop_sample_bases(rng, spec.num_identities, spec.embedding_dim,
+                              spec.min_identity_separation, MAX_SAMPLING_ATTEMPTS)
+
+    width, height = spec.arena
+    max_x, max_y = width - BOX_SIZE, height - BOX_SIZE
+    pos = rng.uniform((0.0, 0.0), (max_x, max_y), size=(spec.num_identities, 2))
+    vel = rng.uniform(-MAX_SPEED, MAX_SPEED, size=(spec.num_identities, 2))
+
+    frames = []
+    gt = []
+    for frame in range(1, spec.num_frames + 1):
+        dets = []
+        for i in range(spec.num_identities):
+            identity = i + 1
+            bbox = BBox(float(pos[i, 0]), float(pos[i, 1]), BOX_SIZE, BOX_SIZE)
+            gt.append(GtEntry(frame=frame, identity=identity, bbox=bbox, class_id=0))
+            observed = not scan_dropped(spec, frame, identity)
+            if spec.dropout_prob > 0.0 and rng.random() < spec.dropout_prob:
+                observed = False
+            if not observed:
+                continue
+            if spec.embed_noise_sigma > 0.0:
+                emb = bases[i] + rng.normal(0.0, spec.embed_noise_sigma,
+                                            size=spec.embedding_dim)
+                emb /= np.linalg.norm(emb)
+            else:
+                emb = bases[i].copy()
+            dets.append(Detection(frame=frame, bbox=bbox,
+                                  score=scan_dipped_score(spec, frame, identity),
+                                  class_id=0, embedding=emb))
+        if spec.clutter_rate > 0.0:
+            for _ in range(int(rng.poisson(spec.clutter_rate))):
+                cx = float(rng.uniform(0.0, max_x))
+                cy = float(rng.uniform(0.0, max_y))
+                cemb = rng.normal(size=spec.embedding_dim)
+                cemb /= np.linalg.norm(cemb)
+                cscore = float(rng.uniform(spec.low_thresh, spec.high_thresh))
+                dets.append(Detection(frame=frame, bbox=BBox(cx, cy, BOX_SIZE, BOX_SIZE),
+                                      score=cscore, class_id=0, embedding=cemb))
+        frames.append(FrameInput(frame=frame, detections=tuple(dets)))
+        pos, vel = loop_reflect(pos, vel, max_x, max_y)
+
+    return SequenceBundle(name=f"synth-{spec.seed}", frames=tuple(frames), gt=tuple(gt))

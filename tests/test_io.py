@@ -895,3 +895,35 @@ def test_write_embeddings_leaves_rows_that_are_not_real_to_the_template(row):
         ",".join(["%.6f"] * 2) % tuple(row.tolist())
     with pytest.raises(TypeError):
         write_embeddings([embedded_frame(np.array([0.25, -0.5]), row)])
+
+
+BLOCK = seqio._FORMAT_BLOCK_ROWS
+# Components the kernel leaves to the template (non-finite, rounding to 10
+# or more, an exact tie: 0.0078125 * 1e6 is 7812.5), and signed zeros and
+# values that round to them, which it must write as "-0.000000".
+FALLBACK_VALUES = [np.nan, np.inf, -np.inf, 10.0, -12.5, 9.9999995, 0.0078125, -0.0078125]
+SIGNED_ZEROS = [-0.0, -4e-7, 0.0, 4e-7]
+
+
+@st.composite
+def edge_blocks(draw):
+    """(N, d) blocks of N = B - 1, B, B + 1 or 2B + 1 rows (B: the kernel's
+    block size), with fallback and signed-zero components placed at and
+    around the block edges."""
+    rows = draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    dim = draw(st.integers(1, 6))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, (rows, dim))
+    near_edges = [r for r in (0, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                              2 * BLOCK, rows - 1) if r < rows]
+    places = st.tuples(st.sampled_from(near_edges), st.integers(0, dim - 1),
+                       st.sampled_from(FALLBACK_VALUES + SIGNED_ZEROS))
+    for row, column, value in draw(st.lists(places, max_size=12)):
+        block[row, column] = value
+    return block
+
+
+@PROPERTY
+@given(edge_blocks())
+def test_format_rows_equals_the_row_template_across_block_edges(block):
+    row_fmt = ",".join(["%.6f"] * block.shape[1])
+    assert seqio._format_rows(block) == [row_fmt % tuple(row.tolist()) for row in block]

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +42,13 @@ from reidmot.synth import (
     MAX_SPEED,
 )
 
-from oracles import loop_reflect, loop_sample_bases, scan_dipped_score, scan_dropped
+from oracles import (
+    loop_reflect,
+    loop_sample_bases,
+    reference_generate,
+    scan_dipped_score,
+    scan_dropped,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -433,6 +442,80 @@ def test_generate_applies_the_window_scans(spec):
         want = [(boxes[fi.frame, i], scan_dipped_score(spec, fi.frame, i))
                 for i in range(1, spec.num_identities + 1) if not scan_dropped(spec, fi.frame, i)]
         assert [(d.bbox, d.score) for d in fi.detections] == want
+
+
+@st.composite
+def scenario_specs(draw):
+    """Small specs over every path of the draw: no noise, noise and a noise
+    that swamps the bases; one dimension; no, some and full random
+    dropout; clutter or none; dip and dropout windows; no identities or no
+    frames."""
+    num_identities, dim = draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 5, 16, 64]))
+    window = st.tuples(st.integers(-2, 8), st.integers(0, 4), st.integers(1, num_identities))
+    windows = st.lists(window, max_size=3) if num_identities else st.just([])
+    return ScenarioSpec(
+        num_identities=num_identities, num_frames=draw(st.integers(0, 8)), embedding_dim=dim,
+        embed_noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.3, 1e50])),
+        # One dimension has two unit vectors, so three identities need separation 0.
+        min_identity_separation=0.0 if dim == 1 else 0.5,
+        dropout_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        score_dips=[(start, start + span, identity, draw(st.sampled_from([0.3, 0.45, 0.8])))
+                    for start, span, identity in draw(windows)],
+        dropout_windows=[(start, start + span, identity)
+                         for start, span, identity in draw(windows)],
+        clutter_rate=draw(st.sampled_from([0.0, 1.5])),
+        arena=draw(st.sampled_from([(1280.0, 720.0), (BOX_SIZE + MAX_SPEED, 50.5)])),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _synth_argv(spec, out_dir):
+    """`reidmot synth` arguments for `spec`, every real as its repr."""
+    argv = ["synth", out_dir, "--num-identities", str(spec.num_identities),
+            "--num-frames", str(spec.num_frames), "--embedding-dim", str(spec.embedding_dim),
+            "--embed-noise-sigma", repr(spec.embed_noise_sigma),
+            "--min-separation", repr(spec.min_identity_separation),
+            "--dropout-prob", repr(spec.dropout_prob), "--clutter-rate", repr(spec.clutter_rate),
+            "--arena-width", repr(spec.arena[0]), "--arena-height", repr(spec.arena[1]),
+            "--low-thresh", repr(spec.low_thresh), "--high-thresh", repr(spec.high_thresh),
+            "--seed", str(spec.seed)]
+    for start, end, identity, score in spec.score_dips:
+        argv.append(f"--score-dip={start}:{end}:{identity}:{score!r}")  # = takes "-1:..."
+    for start, end, identity in spec.dropout_windows:
+        argv.append(f"--dropout-window={start}:{end}:{identity}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(scenario_specs())
+@example(ScenarioSpec(num_identities=0, num_frames=0))
+# No noise: the bases are written as sampled, not divided by their norms again.
+@example(ScenarioSpec(num_identities=4, num_frames=3, embedding_dim=16,
+                      min_identity_separation=0.5, dropout_prob=0.3, clutter_rate=1.5,
+                      score_dips=((-1, 1, 2, 0.45),), dropout_windows=((2, 9, 3),), seed=5))
+@example(ScenarioSpec(num_identities=0, num_frames=5, clutter_rate=1.5, embedding_dim=1))
+@example(ScenarioSpec(num_identities=2, num_frames=6, embedding_dim=1, embed_noise_sigma=1e50,
+                      min_identity_separation=0.0, dropout_prob=1.0, clutter_rate=1.5, seed=7))
+def test_generate_and_synth_equal_the_reference_generator(spec):
+    want = reference_generate(spec)
+    got = generate(spec)
+    assert (got.name, got.frames, got.gt) == (want.name, want.frames, want.gt)
+    for got_frame, want_frame in zip(got.frames, want.frames):
+        assert ([d.embedding.tobytes() for d in got_frame.detections]
+                == [d.embedding.tobytes() for d in want_frame.detections])
+    # `reidmot synth` writes the bytes export writes from the reference
+    # records, and says what it wrote.
+    with tempfile.TemporaryDirectory() as tmp:
+        out, ref = Path(tmp, "out"), Path(tmp, "ref")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(_synth_argv(spec, str(out))) == 0
+        export(want, ref)
+        for name in ("det", "emb", "gt"):
+            assert (out / f"{name}.txt").read_bytes() == (ref / f"{name}.txt").read_bytes()
+    detections = sum(len(fi.detections) for fi in want.frames)
+    assert stderr.getvalue().startswith(
+        f"generated {spec.num_identities} identities over {spec.num_frames} frames "
+        f"(seed {spec.seed}): {detections} detections, {len(want.gt)} gt boxes -> ")
 
 
 def _bench_run():

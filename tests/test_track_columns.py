@@ -121,10 +121,10 @@ BIG = 2**70
 @pytest.mark.parametrize("per_class", [True, False])
 def test_frames_and_class_ids_past_int64_track_as_the_records_do(tmp_path, frames, classes,
                                                                  per_class):
-    # Such values take the route through parse_detections and a join by
-    # value, as the in-process test_class_ids_past_int64_are_kept_and_gated
-    # does through the records: tracks keep their class as given, and the
-    # class gate still holds.
+    # Such values take the route through parse_detections and the positional
+    # lexsort join on object key columns, as the in-process
+    # test_class_ids_past_int64_are_kept_and_gated does through the records:
+    # tracks keep their class as given, and the class gate still holds.
     det_text = "".join(f"{f},-1,0,0,10,10,0.9,{c},-1\n{f},-1,50,0,10,10,0.9,0,-1\n"
                        for f, c in zip(frames, classes))
     emb_text = "".join(f"{f},1,0,1\n{f},0,1,0\n" for f in frames)
