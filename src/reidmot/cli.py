@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 from . import io as seqio
 from . import synth as synthmod
@@ -86,9 +87,11 @@ def _config_from_args(args) -> TrackerConfig:
 def _cmd_track(args) -> int:
     config = _config_from_args(args)
     # Columns all the way: no record is built per detection or per output.
+    # The embedding file goes in as bytes: only a file the byte reader
+    # defers is decoded, and nothing holds the bytes once it is parsed.
     detections = seqio._parse_detection_columns(seqio.load_text(args.detections))
     frames = seqio._track_frames(
-        detections, *seqio._parse_embedding_columns(seqio.load_text(args.embeddings),
+        detections, *seqio._parse_embedding_columns(Path(args.embeddings).read_bytes(),
                                                     args.embedding_dim),
         args.nms_thresh)
 

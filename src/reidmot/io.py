@@ -18,24 +18,32 @@ ParseError for the line.
 
 Results are written with 6-decimal reals; detection and ground-truth writers
 use repr floats so a write/parse round trip is lossless. Embeddings are
-written with 6-decimal components: one numpy kernel formats every row whose
-"%.6f" text it can prove (_format_rows, a block of rows at a time), and the
-one row template, ",".join(["%.6f"] * d), formats the rest, so both give
-the same bytes. Each writer has a column form that `reidmot synth` writes
-with (_detection_text, _embedding_text, _gt_text), through the same row
-template or kernel.
+written with 6-decimal components: one numpy kernel writes the line of
+every row whose "%.6f" text it can prove, key included (_embedding_text, a
+block of rows at a time), and the one row template, ",".join(["%.6f"] * d),
+formats the rest, so both give the same bytes. Each writer has a column
+form that `reidmot synth` writes with (_detection_text, _embedding_text,
+_gt_text), through the same row template or kernel.
+
+Embedding files are read in up to three tiers, each deferring to the next.
+The first is the writer's mirror, a byte reader (_parse_embedding_bytes):
+a file whose every line is one the kernel writes, integer keys and
+[-]D.DDDDDD components, is read from its bytes by word operations, with
+no text decoded; `reidmot track` hands it the file's bytes. Anything else
+is decoded by load_text's rule and goes on as the other texts do.
 
 Embedding texts, the detection texts `reidmot track` reads, and the
-gt/results texts `reidmot eval` scores, are first read in one columnar
+gt/results texts `reidmot eval` scores, are read in one columnar
 np.loadtxt pass (_loadtxt) over the lines _lines keeps, the one rule for
 which lines are data; nothing is retried. Anything unusual goes to the line
-parser, the one home of the rules and their line-numbered messages, so both
+parser, the one home of the rules and their line-numbered messages, so all
 paths give the same values and the same errors. For embeddings that is
 _parse_embedding_lines, which also names the line of a wrong length or a
 zero vector (DimensionMismatchError, ZeroNormError) and gives the same
-(keys, vecs) block; parse_embeddings is the dict over that block. For
-detections it is parse_detections, and for gt/results parse_gt, whose
-records then become the same frame-sorted columns
+(keys, vecs) block; the two columnar embedding readers share its key and
+norm checks (_checked_embeddings), and parse_embeddings is the dict over
+that block. For detections it is parse_detections, and for gt/results
+parse_gt, whose records then become the same frame-sorted columns
 (_parse_detection_columns, _parse_box_table) that a clean text gives.
 
 `reidmot track` stays on columns to the end: it joins the detections to the
@@ -50,6 +58,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from itertools import compress, repeat
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -223,12 +232,26 @@ def parse_embeddings(text: str, expected_dim: int | None = None) -> dict:
     return dict(zip(map(tuple, keys.tolist()), vecs))
 
 
-def _parse_embedding_columns(text: str, expected_dim: int | None) -> tuple:
+def _parse_embedding_columns(source: str | bytes, expected_dim: int | None) -> tuple:
     """parse_embeddings as (keys, vecs): an (M, 2) key array and the (M, d)
-    block of unit rows, in file order. A clean text is read in one columnar
-    pass (_parse_embedding_block), anything else by the line parser."""
-    return (_parse_embedding_block(text, expected_dim)
-            or _parse_embedding_lines(text, expected_dim))
+    block of unit rows, in file order.
+
+    `source` is the file's text, or its bytes as `reidmot track` reads them.
+    The byte reader (_parse_embedding_bytes) reads the lines _embedding_text
+    writes; whatever it defers is decoded by load_text's rule, read in one
+    columnar pass (_parse_embedding_block) if it is clean, and by the line
+    parser otherwise.
+    """
+    if isinstance(source, bytes):
+        data = source
+    else:  # an ASCII str's UTF-8 bytes are a copy of it; any other defers
+        data = source.encode() if source.isascii() else b""
+    columns = _parse_embedding_bytes(data, expected_dim)
+    if columns is None:
+        text = source if isinstance(source, str) else _decoded_text(source)
+        columns = (_parse_embedding_block(text, expected_dim)
+                   or _parse_embedding_lines(text, expected_dim))
+    return columns
 
 
 def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
@@ -264,12 +287,10 @@ def _loadtxt(text: str, row_dtype) -> np.ndarray | None:
 def _parse_embedding_block(text: str, expected_dim: int | None) -> tuple | None:
     """The data lines read by _loadtxt's one pass as (keys, vecs), or None to defer.
 
-    Returns None for anything the line parser might reject or read
-    differently: whatever _loadtxt defers, a key out of range or repeated,
-    a wrong dimension, or a row core.unit_rows rejects (a non-finite
-    component, a zero, tiny or overflowed norm). The vectors are row views
-    of the loadtxt block, normalized in place: a contiguous copy would raise
-    the peak RSS by the block's size.
+    Returns None for whatever _loadtxt or _checked_embeddings defers, or a
+    wrong dimension. The vectors are row views of the loadtxt block,
+    normalized in place: a contiguous copy would raise the peak RSS by the
+    block's size.
     """
     def row_dtype(first_line):
         dim = first_line.count(",") - 1
@@ -278,9 +299,17 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> tuple | None:
         return [("key", np.int64, (2,)), ("vec", np.float64, (dim,))]
 
     block = _loadtxt(text, row_dtype)
-    if block is None:
-        return None
-    keys, vecs = block["key"], block["vec"]
+    return None if block is None else _checked_embeddings(block["key"], block["vec"])
+
+
+def _checked_embeddings(keys: np.ndarray, vecs: np.ndarray) -> tuple | None:
+    """(keys, vecs), the rows of `vecs` made unit in place, or None to defer.
+
+    The checks of both columnar readers: returns None for anything the line
+    parser might reject, a frame below 1 or an index below 0, a repeated
+    key, or a row core.unit_rows rejects (a non-finite component, a zero,
+    tiny or overflowed norm); the line parser then names the line.
+    """
     if (keys[:, 0] < 1).any() or (keys[:, 1] < 0).any():
         return None
     ordered = keys[np.lexsort(keys.T[::-1])]
@@ -288,9 +317,114 @@ def _parse_embedding_block(text: str, expected_dim: int | None) -> tuple | None:
         return None
     try:
         unit_rows(vecs, out=vecs)
-    except (ValueError, ZeroNormError):  # the line parser names the line
+    except (ValueError, ZeroNormError):
         return None
     return keys, vecs
+
+
+# The words of _parse_embedding_bytes. A component's last 8 bytes, "D.DDDDDD"
+# as one little-endian word, XOR _COMPONENT_ZEROS hold the values of the
+# digits in bytes 0 and 2-7, and 0 in byte 1 for the "."; a key's digits,
+# XOR _KEY_ZEROS, likewise. Adding the _LIMIT word then sets the high bit of
+# each byte that held more than its limit (9, or 0 for the "."), and a byte
+# past 0x7f has it already: a word is valid iff no byte of (w + limit) | w
+# has it.
+_COMPONENT_ZEROS = np.uint64(0x3030303030302E30)
+_COMPONENT_LIMIT = np.uint64(0x7676767676767F76)
+_KEY_ZEROS = np.uint64(0x3030303030303030)
+_KEY_LIMIT = np.uint64(0x7676767676767676)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_ALL_BITS = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The number each uint64 word spells, in place: its bytes hold digit
+    values, byte 0 the most significant. Three multiply/shift/mask rounds
+    join digits to pairs, pairs to fours and fours to eights (Lemire,
+    "Number Parsing at a Gigabyte per Second", arXiv:2101.11408)."""
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, None)):
+        words *= np.uint64(10 ** (shift // 8) << shift | 1)
+        words >>= np.uint64(shift)
+        if mask is not None:  # the last shift leaves only the number
+            words &= np.uint64(mask)
+    return words
+
+
+def _parse_embedding_bytes(data: bytes, expected_dim: int | None) -> tuple | None:
+    """A file's bytes as (keys, vecs), when every line is one that
+    _embedding_text's kernel writes; else None to defer.
+
+    Every line must be "F,I,c1,...,cd" and an LF, with d >= 1 (the first
+    line's, and `expected_dim` if given), F and I 1-8 ASCII digits, and each
+    component "D.DDDDDD" or "-D.DDDDDD"; _checked_embeddings then applies
+    the rules of the values. No text is decoded. The reader takes
+    _BLOCK_ROWS lines at a time: one flatnonzero finds every byte up to ","
+    (every separator, and any space, CR, "#", "+", NUL or control byte),
+    and they must be d + 1 commas and an LF per line. A component's last 8
+    bytes, and the 8 that end a key, are read as one unaligned uint64 from
+    a stride-1 view of the bytes, checked and joined into an integer k by
+    word operations. A component is k / 1e6: k and 1e6 are exact doubles
+    and the division is correctly rounded, so its bits are float()'s of the
+    text. A sign byte sets the sign bit, so "-0.000000" reads as -0.0.
+    """
+    size = len(data)
+    dim = data.count(b",", 0, data.find(b"\n")) - 1
+    if size < 8 or data[-1:] != b"\n" or dim < 1 or expected_dim not in (None, dim):
+        return None
+    fields = dim + 2
+    bound = size // (4 + 9 * dim)  # lines of "F,I," and d "D.DDDDDD,"
+    keys, vecs = np.empty((bound, 2), np.int64), np.empty((bound, dim))
+    text = np.frombuffer(data, np.uint8)
+    words = np.ndarray((size - 7,), "<u8", data, 0, (1,))  # words[i]: the bytes at i
+    span = _BLOCK_ROWS * (18 + 10 * dim)  # the bytes of that many of the longest lines
+    start = row = 0
+    while start < size:
+        block = text[start:start + span]
+        seps = np.flatnonzero(block <= ord(","))[:_BLOCK_ROWS * fields]
+        rows = len(seps) // fields
+        if not rows or len(seps) != rows * fields or row + rows > bound:
+            return None
+        seps = seps.reshape(rows, fields)
+        block = block[:seps[-1, -1] + 1]
+        # Every separator is a comma but an LF at the end of each line.
+        if (np.count_nonzero(block < ord(",")) != rows
+                or (block[seps[:, -1]] != ord("\n")).any()):
+            return None
+        seps += start
+        # 1 where a component has a byte before its last 8; every such byte
+        # must be a "-", and no other byte of the block may be one.
+        sign = seps[:, 2:] - seps[:, 1:-1]
+        sign -= 9
+        if (sign.min() < 0 or sign.max() > 1
+                or sign.sum() != np.count_nonzero(block == ord("-"))):
+            return None
+        values = words[seps[:, 2:] - 8]
+        values ^= _COMPONENT_ZEROS
+        if np.bitwise_or.reduce((values + _COMPONENT_LIMIT) | values, axis=None) & _HIGH_BITS:
+            return None
+        # The integer digit moves from byte 0 to byte 1, the "."'s: the
+        # word's 8 digits spell k.
+        values += (values & np.uint64(0xFF)) * np.uint64(255)
+        out = vecs[row:row + rows]
+        np.divide(_eight_digits(values).view(np.int64), 1e6, out=out)
+        bits = out.view(np.int64)
+        bits |= sign << 63
+        # Each key ends at its separator and starts after the one before
+        # (a line, after the LF that ends the last, or the block's start).
+        lengths = seps[:, :2] - np.column_stack(
+            (np.r_[start, seps[:-1, -1] + 1], seps[:, 0] + 1))
+        if lengths.min() < 1 or lengths.max() > 8:
+            return None
+        at = np.maximum(seps[:, :2] - 8, 0)  # the file's first line may start closer
+        digits = words[at] << (np.uint64(8) * (8 - seps[:, :2] + at).astype(np.uint64))
+        digits ^= _KEY_ZEROS
+        digits &= _ALL_BITS << (np.uint64(8) * (8 - lengths).astype(np.uint64))
+        if np.bitwise_or.reduce((digits + _KEY_LIMIT) | digits, axis=None) & _HIGH_BITS:
+            return None
+        keys[row:row + rows] = _eight_digits(digits).view(np.int64)
+        row += rows
+        start = int(seps[-1, -1]) + 1
+    return _checked_embeddings(keys[:row], vecs[:row])
 
 
 def _parse_embedding_lines(text: str, expected_dim: int | None) -> tuple:
@@ -504,13 +638,6 @@ def write_embeddings(frames) -> str:
     return _embedding_text(keys, block, embs)
 
 
-def _embedding_text(keys, block: np.ndarray, rows=None) -> str:
-    """Embedding lines: the k-th (frame, index) pair of `keys`, then row k
-    of the (N, d) float64 `block` as _format_rows writes it, `rows` as there."""
-    return "".join([f"{frame},{index},{row}\n"
-                    for (frame, index), row in zip(keys, _format_rows(block, rows))])
-
-
 # A component as the kernel writes it: 10 bytes, a sign byte (0, a pad, for
 # a value that is not negative) and the integer digit as one 16-bit word,
 # then ".", the six fraction digits and the separator as one 64-bit word.
@@ -524,24 +651,26 @@ _FRACTION_LOW = np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(
                               "<u4").astype(np.uint64) << np.uint64(32)
 
 
-# Rows per block of _format_rows: each of its temporaries holds about
-# 8 bytes a component, so at dimension 128 it stays near 256 KiB, within a
-# core's cache.
-_FORMAT_BLOCK_ROWS = 256
+# Rows per block of the embedding writer (_embedding_text) and reader
+# (_parse_embedding_bytes): each of their temporaries holds about 8 bytes a
+# component, so at dimension 128 it stays near 256 KiB, within a core's
+# cache.
+_BLOCK_ROWS = 256
 
 
-def _format_rows(block: np.ndarray, rows=None) -> list[str]:
-    """Each row of the (N, d) float64 `block` as ",".join(["%.6f"] * d)
-    formats it, without its line end.
+def _embedding_text(keys, block: np.ndarray, rows=None) -> str:
+    """Embedding lines: the k-th (frame, index) pair of `keys`, then row k
+    of the (N, d) float64 `block` as ",".join(["%.6f"] * d) formats it.
 
-    One kernel formats, _FORMAT_BLOCK_ROWS rows at a time, every row it can
-    prove: k = rint(v * 1e6), the sign byte from a signbit view (so -0.0
-    and -4e-7 give "-0.000000"), the digits of |k| as byte words, the pad
-    bytes dropped from the block's bytes and the text decoded once. A row
-    with a component that is not finite (a row whose dtype is not real
-    comes as nan), rounds to 10 or more, or whose product v * 1e6 lies
-    exactly halfway between two integers, goes through the template
-    instead, with row k of `rows` (the block's own rows by default).
+    One kernel writes, _BLOCK_ROWS rows at a time, the line of every row
+    whose text it can prove: the key's text, null-padded to one width, then
+    per component k = rint(v * 1e6), the sign byte from a signbit view (so
+    -0.0 and -4e-7 give "-0.000000") and the digits of |k| as byte words;
+    the pad bytes are dropped from the block's bytes and its lines decoded
+    at once. A row with a component that is not finite (a row whose dtype
+    is not real comes as nan), rounds to 10 or more, or whose product
+    v * 1e6 lies exactly halfway between two integers, goes through the
+    template instead, with row k of `rows` (the block's own rows by default).
 
     "%.6f" rounds the exact v * 10**6 to the nearest integer. The float64
     product is correctly rounded, so it is monotone in the exact one, and
@@ -552,29 +681,38 @@ def _format_rows(block: np.ndarray, rows=None) -> list[str]:
     rows = block if rows is None else rows
     dim = block.shape[1]
     row_fmt = ",".join(["%.6f"] * dim)
+    key_text = np.array([f"{frame},{index},".encode() for frame, index in keys], dtype=bytes)
+    line = np.dtype([("key", key_text.dtype), ("value", _COMPONENT, (dim,))])
     separators = np.full(dim, ord(",") << 56, np.uint64)
     separators[-1] = ord("\n") << 56
     text = []
-    for start in range(0, len(block), _FORMAT_BLOCK_ROWS):
-        matrix = block[start:start + _FORMAT_BLOCK_ROWS]
+    for start in range(0, len(block), _BLOCK_ROWS):
+        matrix, key = block[start:start + _BLOCK_ROWS], key_text[start:start + _BLOCK_ROWS]
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fall back
             scaled = matrix * 1e6
             k = np.rint(scaled)
             provable = ((np.abs(scaled - k) < 0.5) & (np.abs(k) < 1e7)).all(axis=1)
         if not provable.all():
-            matrix, k = matrix[provable], k[provable]
+            matrix, k, key = matrix[provable], k[provable], key[provable]
         magnitude = np.abs(k).astype(np.int32)
         thousands = magnitude // 1000
         integer = thousands // 1000
-        plane = np.empty(k.shape, _COMPONENT)
-        plane["head"] = ((integer.astype(np.uint16) + ord("0")) << 8
+        plane = np.empty(len(k), line)
+        plane["key"] = key
+        value = plane["value"]
+        value["head"] = ((integer.astype(np.uint16) + ord("0")) << 8
                          | np.signbit(matrix).view(np.uint8) * np.uint8(ord("-")))
-        plane["tail"] = (_FRACTION_HIGH[thousands - integer * 1000]
+        value["tail"] = (_FRACTION_HIGH[thousands - integer * 1000]
                          | _FRACTION_LOW[magnitude - thousands * 1000] | separators)
-        kernel_rows = iter(plane.tobytes().replace(b"\0", b"").decode("ascii").split("\n"))
-        text += [next(kernel_rows) if proved else row_fmt % tuple(rows[row].tolist())
+        lines = plane.tobytes().replace(b"\0", b"").decode()
+        if len(k) == len(provable):
+            text.append(lines)
+            continue
+        kernel_lines = iter(lines.split("\n"))
+        text += [(next(kernel_lines) if proved
+                  else key_text[row].decode() + row_fmt % tuple(rows[row].tolist())) + "\n"
                  for row, proved in enumerate(provable.tolist(), start=start)]
-    return text
+    return "".join(text)
 
 
 # One results line: frame, track id, x, y, w, h, score, class id. The one
@@ -661,13 +799,18 @@ def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:
 def load_text(path) -> str:
     """The text of a UTF-8 file, CR and CRLF line ends read as LF. A byte
     that is not UTF-8 raises ParseError naming its line."""
+    return _decoded_text(Path(path).read_bytes())
+
+
+def _decoded_text(data: bytes) -> str:
+    """load_text's rule for a file's bytes: UTF-8, CR and CRLF read as LF."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:  # read() decodes all the bytes at once
-        head, bad = exc.object[:exc.start], exc.object[exc.start]
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # decode() takes all the bytes at once
+        head, bad = data[:exc.start], data[exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(line_no, f"not UTF-8: byte {bad:#04x} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def save_text(path, text: str):

@@ -75,7 +75,7 @@ MAX_RECORD_CELLS = 10_000_000
 # num_frames * num_identities * embedding_dim, clutter_rate counted likewise:
 # the one (N, d) float64 block of embeddings _draw fills, and the vectors it
 # draws before it copies them there, stay within 1.28 GB each; the embedding
-# writer's temporaries are bounded by its block of io._FORMAT_BLOCK_ROWS
+# writer's temporaries are bounded by its block of io._BLOCK_ROWS
 # rows, and generate's detections hold views of the block. Every record
 # still fits at the default embedding_dim of 16.
 MAX_EMBEDDING_CELLS = 16 * MAX_RECORD_CELLS

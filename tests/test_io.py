@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +32,8 @@ from reidmot import (
     parse_gt,
     write_results,
 )
+from reidmot.cli import main
+from reidmot.core import unit_rows
 import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
 
@@ -176,6 +181,38 @@ def test_clean_embedding_file_takes_the_columnar_path(monkeypatch):
     assert all(emb[k].tobytes() == want[k].tobytes() for k in want)
     block = emb[(1, 0)].base  # the rows are views of one block, not copies
     assert block is not None and all(v.base is block for v in emb.values())
+
+
+# The benchmark's two workloads, smaller: a long sparse sequence, and a
+# crowd whose frames `reidmot track` suppresses with NMS.
+SYNTH_SHAPES = {
+    "sparse_long": (["--num-identities", "5", "--num-frames", "30",
+                     "--embed-noise-sigma", "0.02"], []),
+    "dense_crowd": (["--num-identities", "40", "--num-frames", "3",
+                     "--embed-noise-sigma", "0.05"], ["--nms-thresh", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("shape", list(SYNTH_SHAPES))
+def test_synth_embedding_file_takes_the_byte_reader(tmp_path, monkeypatch, capsys, shape, seed):
+    # The benchmark cannot see which reader ran: a silent fallback to the
+    # text readers would only show as lost time.
+    synth_flags, track_flags = SYNTH_SHAPES[shape]
+    assert main(["synth", str(tmp_path), *synth_flags, "--embedding-dim", "128",
+                 "--dropout-prob", "0.05", "--clutter-rate", "5", "--seed", str(seed)]) == 0
+    data = (tmp_path / "emb.txt").read_bytes()
+    want_keys, want_vecs = seqio._parse_embedding_lines(data.decode(), None)
+
+    def no_text_reader(*args):
+        raise AssertionError("a text reader ran on a file reidmot synth wrote")
+
+    monkeypatch.setattr(seqio, "_parse_embedding_block", no_text_reader)
+    monkeypatch.setattr(seqio, "_parse_embedding_lines", no_text_reader)
+    keys, vecs = seqio._parse_embedding_columns(data, None)
+    assert keys.tolist() == want_keys.tolist() and vecs.tobytes() == want_vecs.tobytes()
+    assert main(["track", str(tmp_path / "det.txt"), str(tmp_path / "emb.txt"),
+                 str(tmp_path / "out.txt"), *track_flags]) == 0, capsys.readouterr().err
 
 
 CLEAN_EMBEDDINGS = "1,0,3,4\n1,1,0,2\n2,0,-1,0\n"
@@ -749,11 +786,14 @@ VALUE_TEXTS = ["0", "-0.0", "0.6", "0.8", "nan", "-nan", "inf", "-Infinity",
 @st.composite
 def embedding_files(draw):
     """Rows like "1,0,0.6,0.8", some clean and some mutated, with blank and
-    comment lines, LF or CRLF endings, and repeated keys from a small range."""
+    comment lines, LF or CRLF endings, and repeated keys from a small range.
+    A file's components are repr's text or "%.6f"'s, the text of the lines
+    the byte reader reads."""
     dim = draw(st.sampled_from([1, 2, 2, 3, 3]))
     # Mostly values well away from 0, so that many clean files pass the norm check.
     value = st.one_of(st.floats(-2, 2), st.floats(0.1, 2), st.floats(-2, -0.1))
-    clean = st.builds(lambda f, i, vals: ",".join([str(f), str(i), *map(repr, vals)]),
+    component = draw(st.sampled_from([repr, "%.6f".__mod__]))
+    clean = st.builds(lambda f, i, vals: ",".join([str(f), str(i), *map(component, vals)]),
                       st.integers(1, 3), st.integers(0, 3),
                       st.lists(value, min_size=dim, max_size=dim))
     rows = draw(st.lists(clean, min_size=1, max_size=6))
@@ -897,7 +937,7 @@ def test_write_embeddings_leaves_rows_that_are_not_real_to_the_template(row):
         write_embeddings([embedded_frame(np.array([0.25, -0.5]), row)])
 
 
-BLOCK = seqio._FORMAT_BLOCK_ROWS
+BLOCK = seqio._BLOCK_ROWS
 # Components the kernel leaves to the template (non-finite, rounding to 10
 # or more, an exact tie: 0.0078125 * 1e6 is 7812.5), and signed zeros and
 # values that round to them, which it must write as "-0.000000".
@@ -924,6 +964,162 @@ def edge_blocks(draw):
 
 @PROPERTY
 @given(edge_blocks())
-def test_format_rows_equals_the_row_template_across_block_edges(block):
+def test_embedding_text_equals_the_row_template_across_block_edges(block):
     row_fmt = ",".join(["%.6f"] * block.shape[1])
-    assert seqio._format_rows(block) == [row_fmt % tuple(row.tolist()) for row in block]
+    keys = [(1 + row // 7, row % 7 * 1_000_003) for row in range(len(block))]
+    assert seqio._embedding_text(keys, block) == "".join(
+        f"{frame},{index},{row_fmt % tuple(row.tolist())}\n"
+        for (frame, index), row in zip(keys, block))
+
+
+# Components whose "%.6f" text the byte reader must read back bit for bit:
+# signed zeros and the values that round to them, the doubles next to
+# 9.9999995 (the one above is written "10.000000", which it must refuse),
+# and the doubles around the ties (k + 0.5) * 1e-6 of "%.6f"'s rounding.
+MIRROR_VALUES = [
+    0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, *_around(9.9999995), *_around(-9.9999995),
+    *[v for k in (0, 1, 7, 499999, 999999, 1234567, 9999998)
+      for sign in (1, -1) for v in _around(sign * (k + 0.5) * 1e-6)],
+]
+
+
+@st.composite
+def written_embeddings(draw):
+    """(keys, block) for _embedding_text: N = B - 1, B, B + 1 or 2B + 1 rows
+    (B: the block size of the writer and the reader) of up to 6 components,
+    with MIRROR_VALUES placed at random, and keys of up to 8 digits."""
+    rows = draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    dim = draw(st.integers(1, 6))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-9.99, 9.99,
+                                                                          (rows, dim))
+    places = st.tuples(st.integers(0, rows - 1), st.integers(0, dim - 1),
+                       st.sampled_from(MIRROR_VALUES))
+    for row, column, value in draw(st.lists(places, max_size=12)):
+        block[row, column] = value
+    per_frame = draw(st.sampled_from([1, 7, rows]))
+    first = draw(st.sampled_from([1, 10**7, 10**8 - 1 - rows]))
+    step = draw(st.sampled_from([1, (10**8 - 1) // rows]))
+    return [(first + row // per_frame, row % per_frame * step) for row in range(rows)], block
+
+
+@PROPERTY
+@given(written_embeddings(), st.booleans())
+def test_byte_reader_reads_back_what_embedding_text_writes(written, zero_padded):
+    keys, block = written
+    text = seqio._embedding_text(keys, block)
+    if zero_padded:  # keys with leading zeros, which int() reads as well
+        text = re.sub(r"^(\d+),(\d+),", lambda m: f"{m[1]:0>8},{m[2]:0>8},", text, flags=re.M)
+    components = [["%.6f" % v for v in row] for row in block.tolist()]
+    want = np.array([[float(c) for c in row] for row in components])
+    got = seqio._parse_embedding_bytes(text.encode(), None)
+    if any(c.lstrip("-").startswith("10.") for row in components for c in row) \
+            or not want.any(axis=1).all():  # a text of 10 or more, or a zero row
+        assert got is None
+    else:
+        assert got[0].tolist() == [list(key) for key in keys]
+        assert got[1].tobytes() == unit_rows(want).tobytes()
+    assert (_parse_outcome(seqio._parse_embedding_columns, text, None)
+            == _parse_outcome(seqio._parse_embedding_lines, text, None))
+
+
+MIRROR_KEYS = [(1, 0), (1, 1), (2, 0), (3, 0), (3, 1), (3, 2)]
+MIRROR_TEXT = seqio._embedding_text(
+    MIRROR_KEYS, np.random.default_rng(5).uniform(-1, 1, (len(MIRROR_KEYS), 3))).encode()
+MIRROR_DETECTIONS = "".join(f"{frame},-1,{30 * index},0,10,10,0.9,0,-1\n"
+                            for frame, index in MIRROR_KEYS).encode()
+
+
+def _on_line(edit):
+    """An edit of line `row` of a file: its fields become edit(fields, column)."""
+    def apply(data, row, column):
+        lines = data.split(b"\n")
+        lines[row] = b",".join(edit(lines[row].split(b","), column))
+        return b"\n".join(lines)
+    return apply
+
+
+def _on_field(edit, columns=range(5)):
+    """An edit of one field of line `row`, the one of `columns` that `column` picks."""
+    def fields_edit(fields, column):
+        at = columns[column % len(columns)]
+        return fields[:at] + [edit(fields[at])] + fields[at + 1:]
+    return _on_line(fields_edit)
+
+
+def _inserted(line):
+    """An edit that inserts `line` before line `row`."""
+    def apply(data, row, column):
+        lines = data.split(b"\n")
+        return b"\n".join(lines[:row] + [line] + lines[row:])
+    return apply
+
+
+def _duplicate_key(data, row, column):
+    lines = data.split(b"\n")
+    row = max(row, 1)
+    lines[row] = b",".join(lines[row - 1].split(b",")[:2] + lines[row].split(b",")[2:])
+    return b"\n".join(lines)
+
+
+def _moved_line_end(data, row, column):
+    """Line `row` loses its last component, which starts the next line."""
+    lines = data.split(b"\n")
+    row = min(row, len(lines) - 3)  # a next line, besides the empty one after the last LF
+    head, last = lines[row].rsplit(b",", 1)
+    lines[row:row + 2] = [head, last + b"," + lines[row + 1]]
+    return b"\n".join(lines)
+
+
+COMPONENTS = range(2, 5)
+# One edit of a clean file each: every result is a file the byte reader
+# must refuse, whether the line parser reads it or not.
+DEFERRED_EDITS = {
+    "7th-decimal": _on_field(lambda f: f + b"1", COMPONENTS),
+    "5th-decimal": _on_field(lambda f: f[:-1], COMPONENTS),
+    "plus-sign": _on_field(lambda f: b"+" + f.lstrip(b"-"), COMPONENTS),
+    "exponent": _on_field(lambda f: b"%.5e" % float(f), COMPONENTS),
+    "leading-dot": _on_field(lambda f: f.replace(b"0.", b".", 1), COMPONENTS),
+    "ten": _on_field(lambda f: b"10.000000", COMPONENTS),
+    "spaces": _on_field(lambda f: b" " + f + b" "),
+    "crlf": lambda data, row, column: data.replace(b"\n", b"\r\n"),
+    "no-final-lf": lambda data, row, column: data[:-1],
+    "moved-line-end": _moved_line_end,
+    "comment": _inserted(b"# by hand"),
+    "blank": _inserted(b""),
+    "nine-digit-key": _on_field(lambda f: b"%09d" % int(f), range(2)),
+    "frame-0": _on_field(lambda f: b"0", range(1)),
+    "duplicate-key": _duplicate_key,
+    "zero-row": _on_line(lambda fields, column: fields[:2] + [b"0.000000", b"-0.000000",
+                                                              b"0.000000"]),
+    "separator-byte": _on_field(lambda f: f + bytes([0x1c + len(f) % 4])),
+    "nul-byte": _on_field(lambda f: f + b"\0"),
+    "non-ascii": _on_field(lambda f: f + "\u00e9".encode()),
+    "not-utf8": _on_field(lambda f: f + b"\xff"),
+}
+
+
+def _line_parser_of_bytes(data, expected_dim):
+    return seqio._parse_embedding_lines(seqio._decoded_text(data), expected_dim)
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRED_EDITS))
+@settings(derandomize=True, max_examples=8, database=None, deadline=None)
+@given(row=st.integers(0, len(MIRROR_KEYS) - 1), column=st.integers(0, 4))
+def test_byte_reader_defers_every_edit_of_a_clean_file(tmp_path_factory, name, row, column):
+    data = DEFERRED_EDITS[name](MIRROR_TEXT, row, column)
+    assert data != MIRROR_TEXT
+    assert seqio._parse_embedding_bytes(data, None) is None
+    assert (_parse_outcome(seqio._parse_embedding_columns, data, None)
+            == _parse_outcome(_line_parser_of_bytes, data, None))
+    base = tmp_path_factory.mktemp("edited")
+    (base / "det.txt").write_bytes(MIRROR_DETECTIONS)
+    (base / "emb.txt").write_bytes(data)
+    command = ["track", str(base / "det.txt"), str(base / "emb.txt"), str(base / "out.txt")]
+    runs = []
+    for columns in (seqio._parse_embedding_columns, _line_parser_of_bytes):
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+            patch.setattr(seqio, "_parse_embedding_columns", columns)
+            code = main(command)
+        runs.append((code, err.getvalue().split(" frames: ")[0]))  # a summary's times vary
+    assert runs[0] == runs[1]
