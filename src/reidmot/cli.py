@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import io as seqio
 from . import synth as synthmod
-from .core import TrackerConfig, group_by_frame
+from .core import TrackerConfig, _frame_rows
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -179,14 +179,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_nms(args) -> int:
-    dets = seqio.parse_detections(seqio.load_text(args.detections))
-    kept_frames = seqio.nms_frames(group_by_frame(dets).values(), args.nms_thresh)
-    kept = [det for frame_kept in kept_frames for det in frame_kept]
-    seqio.save_text(args.out, seqio.write_detections(kept))
-    print(
-        f"nms at iou {args.nms_thresh}: kept {len(kept)} of {len(dets)} detections",
-        file=sys.stderr,
-    )
+    # Columns, read and suppressed as `reidmot track` does: no record per row.
+    dets = seqio._parse_detection_columns(seqio.load_text(args.detections))
+    keep = seqio._nms_rows(dets, _frame_rows(dets.frame), args.nms_thresh)
+    frame, boxes, scores, class_id = dets
+    kept = seqio._DetectionColumns(frame[keep], boxes[:, keep], scores[keep], class_id[keep])
+    seqio.save_text(args.out, seqio._detection_text(kept))
+    print(f"nms at iou {args.nms_thresh}: kept {keep.sum()} of {len(keep)} detections",
+          file=sys.stderr)
     return 0
 
 

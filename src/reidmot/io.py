@@ -46,12 +46,14 @@ that block. For detections it is parse_detections, and for gt/results
 parse_gt, whose records then become the same frame-sorted columns
 (_parse_detection_columns, _parse_box_table) that a clean text gives.
 
-`reidmot track` stays on columns to the end: it joins the detections to the
-embedding block by position (_embedding_rows: the keys, of any size, sorted
-once and compared in one pass with each detection's frame and rank within
-it, attach_embeddings raising on a mismatch), suppresses with the
-keep-mask kernel nms runs (_nms_keep), and formats its results with the
-one row template of write_results (_results_text).
+`reidmot track` and `reidmot nms` stay on columns to the end, with no
+record per row on clean input. Both suppress with one driver (_nms_rows: a
+keep mask over the detection columns, nms's kernel _nms_keep run once per
+frame). `reidmot nms` writes the kept rows (_detection_text); `reidmot
+track` joins the detections to the embedding block by position
+(_embedding_rows: the keys sorted once and compared in one pass with each
+detection's frame and rank within it, attach_embeddings raising on a
+mismatch) and writes with write_results' row template (_results_text).
 """
 
 import os
@@ -518,30 +520,21 @@ def _embedding_rows(detections: _DetectionColumns, frame_rows: dict, keys: np.nd
 def _track_frames(detections: _DetectionColumns, keys: np.ndarray, vecs: np.ndarray,
                   nms_thresh: float | None):
     """The _FrameColumns of each frame of `detections` joined to its
-    embeddings: attach_embeddings, then nms_frames when `nms_thresh` is
-    given, on columns.
+    embeddings: attach_embeddings, then nms of each frame when `nms_thresh`
+    is given, on columns.
 
-    The join (_embedding_rows) and the threshold are checked at once, in
-    that order; the frames are then built one at a time, each with its
-    own copy of its embedding rows, so the block is never copied whole.
+    The join (_embedding_rows) and the suppression (_nms_rows) run at once,
+    in that order; the frames are then built one at a time from their kept
+    rows, each with its own copy of its embedding rows, never of the whole block.
     """
     frame_rows = _frame_rows(detections.frame)
     rows = _embedding_rows(detections, frame_rows, keys, vecs)
     if nms_thresh is not None:
-        _check_iou_thresh(nms_thresh)
-    return (_frame_columns(detections, vecs, rows, frame, take, nms_thresh)
+        keep = _nms_rows(detections, frame_rows, nms_thresh)
+        frame_rows = {f: take.start + np.flatnonzero(keep[take]) for f, take in frame_rows.items()}
+    boxes, scores, class_id = detections.boxes, detections.scores, detections.class_id
+    return (_FrameColumns(frame, boxes[:, take], scores[take], class_id[take], vecs[rows[take]])
             for frame, take in frame_rows.items())
-
-
-def _frame_columns(detections: _DetectionColumns, vecs: np.ndarray, rows: np.ndarray,
-                   frame: int, take: slice, nms_thresh: float | None) -> _FrameColumns:
-    boxes, scores, class_id = (detections.boxes[:, take], detections.scores[take],
-                               detections.class_id[take])
-    if nms_thresh is not None:
-        keep = np.flatnonzero(_nms_keep(boxes, scores, class_id, nms_thresh))
-        boxes, scores, class_id = boxes[:, keep], scores[keep], class_id[keep]
-        take = keep + take.start
-    return _FrameColumns(frame, boxes, scores, class_id, vecs[rows[take]])
 
 
 def parse_gt(text: str) -> list[GtEntry]:
@@ -774,7 +767,7 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
 def _nms_keep(boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
               iou_thresh: float) -> np.ndarray:
     """nms' keep mask over one frame's columns: the one NMS kernel, for nms
-    and `reidmot track`. `boxes` is (4, n): x, y, w, h rows."""
+    and _nms_rows. `boxes` is (4, n): x, y, w, h rows."""
     # overlaps[i, j]: keeping i suppresses j
     overlaps = (iou_columns(boxes, boxes) > iou_thresh) & (class_ids[:, None] == class_ids)
     suppressed = np.zeros(len(scores), dtype=bool)
@@ -786,14 +779,17 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
     return keep
 
 
-def nms_frames(frame_groups, iou_thresh: float) -> list[list[Detection]]:
-    """nms of each frame's detections in `frame_groups`, in the same order.
-
-    The threshold is checked before the first frame, so a bad one is
-    rejected even when there are no frames at all.
-    """
+def _nms_rows(detections: _DetectionColumns, frame_rows: dict, iou_thresh: float) -> np.ndarray:
+    """The keep mask of nms run on each frame of `detections` (`frame_rows`
+    is _frame_rows of their frames): the one NMS driver, for `reidmot nms`
+    and `reidmot track`. The threshold is checked before the first frame,
+    so a bad one is rejected even when there are no frames at all."""
     _check_iou_thresh(iou_thresh)
-    return [nms(dets, iou_thresh) for dets in frame_groups]
+    keep = np.zeros(len(detections.scores), dtype=bool)
+    for take in frame_rows.values():
+        keep[take] = _nms_keep(detections.boxes[:, take], detections.scores[take],
+                               detections.class_id[take], iou_thresh)
+    return keep
 
 
 def load_text(path) -> str:

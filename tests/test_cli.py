@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import pathlib
@@ -12,11 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reidmot.core as core
 import reidmot.io as seqio
-from reidmot import ScenarioSpec, TrackerConfig, export, generate
+from reidmot import ScenarioSpec, TrackerConfig, TrackingError, export, generate
 from reidmot.cli import EXIT_CODES, _config_from_args, _exit_code, build_parser, main
 from reidmot.core import group_by_frame
 from reidmot.io import load_text, parse_detections, parse_gt, write_detections, write_embeddings
+
+from field_texts import EDGE_PADS, INT_TEXTS, REAL_TEXTS
 
 DATA = pathlib.Path(__file__).parent / "data"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -252,6 +256,65 @@ def test_nms_that_drops_a_box_leaves_an_orphan_embedding(tmp_path, capsys):
     assert rc == 14
     assert "frame 1, index 1" in capsys.readouterr().err
 
+
+
+@st.composite
+def nms_texts(draw):
+    """Detection texts for `reidmot nms`: up to 12 rows on a small grid, so
+    that boxes overlap, in frames and classes past int64 too. Now and then a
+    field becomes one of the shared field texts or a line takes edge pads,
+    and comment and blank lines go in; LF or CRLF, with or without a final
+    one. Zero rows and no final line end give an empty file."""
+    frames = [1, 2, 3, *draw(st.sampled_from([[], [2**63 - 1], [2**63, 10**20]]))]
+    classes = [0, 1, *draw(st.sampled_from([[], [2**63]]))]
+    side = st.sampled_from(["2", "3.0", "4.5"])
+    row = st.builds("{},-1,{},{},{},{},{},{},-1".format, st.sampled_from(frames),
+                    st.integers(0, 6), st.integers(0, 6), side, side,
+                    st.sampled_from(["0", "0.3", "0.5", "0.9", "1"]), st.sampled_from(classes))
+    rows = draw(st.lists(row, max_size=12))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        fields = rows[at].split(",")
+        col = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            fields[col] = draw(st.sampled_from(INT_TEXTS if col in (0, 1, 7) else REAL_TEXTS))
+        else:
+            lead, trail = draw(st.sampled_from(EDGE_PADS))
+            fields[0], fields[-1] = lead + fields[0], fields[-1] + trail
+        rows[at] = ",".join(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", "# comment", "   ", "#1,-1,0,0,2,2,1,0,-1"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+def _record_nms(text, thresh):
+    """(exit code, output, stderr) of the record route: parse the records,
+    check the threshold, then nms each frame and write what it keeps."""
+    try:
+        dets = parse_detections(text)
+        seqio._check_iou_thresh(thresh)
+    except TrackingError as exc:
+        return _exit_code(exc), "", f"error: {exc}\n"
+    kept = [d for group in group_by_frame(dets).values() for d in seqio.nms(group, thresh)]
+    return (0, write_detections(kept),
+            f"nms at iou {thresh}: kept {len(kept)} of {len(dets)} detections\n")
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(nms_texts(), st.sampled_from([0.0, 1 / 3, 0.5, 1.0, 2.0, float("nan")]))
+@example(text="1,-1,0,0,2,2,0.9,0,-1\n1,-1,0,0,2,2,2,0,-1\n", thresh=2.0)  # exit 3, not 11
+@example(text="", thresh=float("nan"))
+def test_nms_subcommand_equals_the_record_route(tmp_path_factory, text, thresh):
+    base = tmp_path_factory.mktemp("nms")
+    det, out = base / "det.txt", base / "out.txt"
+    det.write_bytes(text.encode())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["nms", str(det), str(out), "--nms-thresh", repr(thresh)])
+    written = out.read_text(encoding="utf-8") if rc == 0 else ""
+    assert (rc, written, err.getvalue()) == _record_nms(load_text(det), thresh)
 
 # Frame 1: a 0.9 box at x=0, a 0.95 box at x=50 and a suppressed 0.85 box
 # at x=1; frame 2 repeats the first two.
@@ -520,6 +583,41 @@ def test_synth_size_product_past_its_bound_exits_11_before_allocating(tmp_path, 
     assert rc == 11
     assert allowed in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+# The sha256 of the files of one small scenario through all four commands,
+# as the record routes wrote them: synth's three, then track's and nms's.
+COLUMN_ROUTE_PINS = {
+    "det.txt": "89eb82a6509117d2d3522d5e311479e7128a440b4a0d7a82d85c8a7f5eb61dae",
+    "emb.txt": "f87c89dfb30908140191606a0426d21e201c309a570aad60e8e9b2949959dc9f",
+    "gt.txt": "38e75e557b650bb63924ff640512d7ab9a05a288f938ae527e6706dd454dedc3",
+    "results.txt": "2305b09abf021f8240e057182b76523f41e6013b1968c06968d826485aa484e4",
+    "kept.txt": "d73e5246ace445b23fb47902797ecd0caff4dec394370df2d7414eb79ccb536a",
+}
+
+
+def test_every_command_stays_on_columns(tmp_path, capsys, monkeypatch):
+    # On clean files no command builds a record per row, so building one fails.
+    def refuse(record, *args, **kwargs):
+        raise AssertionError(f"a {type(record).__name__} was built")
+
+    for record in (core.Detection, core.GtEntry, core.TrackOutput):
+        monkeypatch.setattr(record, "__init__", refuse)
+    s, results, kept = tmp_path / "s", tmp_path / "results.txt", tmp_path / "kept.txt"
+    commands = [
+        ["synth", s, "--num-identities", "6", "--num-frames", "8", "--embedding-dim", "8",
+         "--arena-width", "120", "--arena-height", "120", "--clutter-rate", "2", "--seed", "5"],
+        ["track", s / "det.txt", s / "emb.txt", results, "--nms-thresh", "0.5"],
+        ["eval", s / "gt.txt", results],
+        ["nms", s / "det.txt", kept],
+    ]
+    assert [main(list(map(str, command))) for command in commands] == [0, 0, 0, 0]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].split() == ["0.875", "0.000", "0", "6", "0", "0.933"]
+    assert "nms at iou 0.5: kept 50 of 59 detections\n" in captured.err
+    paths = [s / "det.txt", s / "emb.txt", s / "gt.txt", results, kept]
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths} == COLUMN_ROUTE_PINS
 
 
 @pytest.mark.parametrize("command", ["track", "nms"])

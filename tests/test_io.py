@@ -3,6 +3,8 @@ import io
 import math
 import re
 import warnings
+from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from reidmot import (
     BBox,
+    ConfigError,
     Detection,
     DimensionMismatchError,
     DuplicateEntryError,
@@ -33,7 +36,7 @@ from reidmot import (
     write_results,
 )
 from reidmot.cli import main
-from reidmot.core import unit_rows
+from reidmot.core import _frame_rows, unit_rows
 import reidmot.io as seqio
 from reidmot.io import write_detections, write_embeddings, write_gt
 
@@ -665,18 +668,27 @@ def test_nms_idempotent_and_subset_on_random_frames():
                     assert iou(kept[i].bbox, kept[j].bbox) <= thresh
 
 
-def test_nms_frames_calls_nms_once_per_frame(monkeypatch):
+def test_nms_rows_calls_nms_keep_once_per_frame(monkeypatch):
+    frames = [[_d(0, 0.9), _d(1, 0.8)], [_d(5, 0.5)], [_d(0, 0.3), _d(20, 0.9), _d(1, 0.4)]]
+    groups = [[replace(d, frame=frame) for d in group]
+              for frame, group in enumerate(frames, start=1)]
+    dets = [d for group in groups for d in group]
+    expected = [d for group in groups for d in nms(group, 0.5)]
+    columns = seqio._parse_detection_columns(write_detections(dets))
     calls = []
-    nms_one = seqio.nms
+    keep_one = seqio._nms_keep
 
-    def counted(dets, thresh):
-        calls.append(len(dets))
-        return nms_one(dets, thresh)
+    def counted(boxes, scores, class_ids, thresh):
+        calls.append(len(scores))
+        return keep_one(boxes, scores, class_ids, thresh)
 
-    monkeypatch.setattr(seqio, "nms", counted)
-    groups = [[_d(0, 0.9), _d(1, 0.8)], [], [_d(5, 0.5)]]
-    assert seqio.nms_frames(groups, 0.5) == [[groups[0][0]], [], groups[2]]
-    assert calls == [2, 0, 1]
+    monkeypatch.setattr(seqio, "_nms_keep", counted)
+    keep = seqio._nms_rows(columns, _frame_rows(columns.frame), 0.5)
+    assert calls == [2, 1, 3]
+    assert list(compress(dets, keep.tolist())) == expected
+    with pytest.raises(ConfigError):  # checked before the first frame
+        seqio._nms_rows(columns, {}, 1.5)
+    assert calls == [2, 1, 3]
 
 
 # Property tests. Fixed settings keep them deterministic and quick.
@@ -788,14 +800,20 @@ def embedding_files(draw):
     """Rows like "1,0,0.6,0.8", some clean and some mutated, with blank and
     comment lines, LF or CRLF endings, and repeated keys from a small range.
     A file's components are repr's text or "%.6f"'s, the text of the lines
-    the byte reader reads."""
+    the byte reader reads. A share of the files are only such lines, with
+    distinct keys, each ending in LF, so that the byte reader reads them."""
     dim = draw(st.sampled_from([1, 2, 2, 3, 3]))
     # Mostly values well away from 0, so that many clean files pass the norm check.
     value = st.one_of(st.floats(-2, 2), st.floats(0.1, 2), st.floats(-2, -0.1))
-    component = draw(st.sampled_from([repr, "%.6f".__mod__]))
+    written = draw(st.booleans())  # a file as _embedding_text writes one
+    component = "%.6f".__mod__ if written else draw(st.sampled_from([repr, "%.6f".__mod__]))
     clean = st.builds(lambda f, i, vals: ",".join([str(f), str(i), *map(component, vals)]),
                       st.integers(1, 3), st.integers(0, 3),
                       st.lists(value, min_size=dim, max_size=dim))
+    if written:
+        rows = draw(st.lists(clean, min_size=1, max_size=6,
+                             unique_by=lambda row: tuple(row.split(",")[:2])))
+        return "".join(row + "\n" for row in rows)
     rows = draw(st.lists(clean, min_size=1, max_size=6))
     key_edit = st.builds(lambda k, col: (col, k), st.sampled_from(KEY_TEXTS), st.integers(0, 1))
     value_edit = st.builds(lambda v, col: (col, v), st.sampled_from(VALUE_TEXTS),

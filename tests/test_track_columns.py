@@ -2,7 +2,7 @@
 
 The command reads, joins, suppresses, tracks and writes columns, with no
 record per detection or per output. The library route builds them:
-parse_detections, parse_embeddings, attach_embeddings, nms_frames,
+parse_detections, parse_embeddings, attach_embeddings, nms of each frame,
 run_sequence, write_results. Both must give the same bytes, and the same
 exit code and message on bad input.
 """
@@ -39,8 +39,9 @@ def _record_pipeline(det_text, emb_text, config, nms_thresh=None):
     try:
         frames = attach_embeddings(parse_detections(det_text), parse_embeddings(emb_text))
         if nms_thresh is not None:
-            kept = seqio.nms_frames([fi.detections for fi in frames], nms_thresh)
-            frames = [FrameInput(fi.frame, k) for fi, k in zip(frames, kept)]
+            seqio._check_iou_thresh(nms_thresh)  # before the first frame, if any
+            frames = [FrameInput(fi.frame, seqio.nms(fi.detections, nms_thresh))
+                      for fi in frames]
         return 0, write_results(run_sequence(frames, config))
     except Exception as exc:
         return _exit_code(exc), f"error: {exc}\n"
