@@ -53,6 +53,25 @@ def _box_columns(boxes) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4).T
 
 
+def _iou_of(ax, ay, aw, ah, bx, by, bw, bh) -> np.ndarray:
+    """The IoU formula, element by element over broadcast x, y, w, h arrays:
+    the one home of its bits, for iou_columns and _overlap_pairs."""
+    # Overflowing boxes (sides near 1e308) stay quiet: their entries clamp to
+    # 1.0 or read 0.0, as the one-pair float formula gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+        union = aw * ah + bw * bh - inter
+        # A union that rounds to 0 under a positive intersection (a far-off
+        # box whose x + w rounds up) reads 0.0, like no overlap.
+        out = np.zeros(inter.shape)
+        np.divide(inter, union, out=out, where=(inter > 0) & (union != 0))
+        # (x + w) - x can exceed w in floats, pushing identical boxes past
+        # 1.0; fmin, unlike minimum, also clamps an overflow's nan to 1.0.
+        return np.fmin(1.0, out, out=out)
+
+
 def iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection-over-union of every box in `a` with every box in `b`.
 
@@ -61,22 +80,75 @@ def iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     [0, 1]. Boxes that only share an edge, or do not touch, have IoU exactly
     0.0.
     """
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    # Overflowing boxes (sides near 1e308) stay quiet: their entries clamp to
-    # 1.0 or read 0.0, as the one-pair float formula gives.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ix = np.minimum((ax + aw)[:, None], bx + bw) - np.maximum(ax[:, None], bx)
-        iy = np.minimum((ay + ah)[:, None], by + bh) - np.maximum(ay[:, None], by)
-        inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
-        union = (aw * ah)[:, None] + bw * bh - inter
-        # A union that rounds to 0 under a positive intersection (a far-off
-        # box whose x + w rounds up) reads 0.0, like no overlap.
-        out = np.zeros(inter.shape)
-        np.divide(inter, union, out=out, where=(inter > 0) & (union != 0))
-        # (x + w) - x can exceed w in floats, pushing identical boxes past
-        # 1.0; fmin, unlike minimum, also clamps an overflow's nan to 1.0.
-        return np.fmin(1.0, out, out=out)
+    return _iou_of(*a[:, :, None], *b)
+
+
+# Candidate pairs _overlap_pairs takes through the formula at a time, so
+# its temporaries stay a few hundred kB whatever the file's size.
+_PAIR_BLOCK = 8192
+
+
+def _overlap_windows(seg_a: np.ndarray, a: np.ndarray, seg_b: np.ndarray, b: np.ndarray):
+    """(order, lo, hi): the rows of `b` sorted by (segment, x), and for each
+    box k of `a` the window order[lo[k]:hi[k]] holding every box of b in
+    k's segment whose x extent can meet k's (none when hi[k] <= lo[k]).
+
+    Segments are int64 codes. A box j of b meets k only if x_j < x_k + w_k
+    and x_j + w_j > x_k; the window takes the first bound as it stands and
+    the second as x_j + (the widest w of j's segment) > x_k, which holds
+    whenever it does and, like x_j, grows along the sorted rows. Both are
+    searched on exact int64 keys, segment * R + a float's rank among the R
+    distinct bound values, so no float is ever offset by a segment.
+    """
+    bx, bw = b[0], b[2]
+    order = np.lexsort((bx, seg_b))
+    seg, x = seg_b[order], bx[order]
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]]) if len(seg) else seg
+    widest = np.repeat(np.maximum.reduceat(bw[order], starts), np.diff(np.r_[starts, len(seg)]))
+    with np.errstate(over="ignore"):  # an overflowed bound is +inf, still in order
+        bounds = (x, x + widest, a[0] + a[2], a[0])
+    flat, rank = np.unique(np.concatenate(bounds), return_inverse=True)
+    r_x, r_reach, r_right, r_left = np.split(rank, np.cumsum([len(x), len(x), len(seg_a)]))
+    span = np.int64(len(flat))
+    hi = np.searchsorted(seg * span + r_x, seg_a * span + r_right, "left")
+    lo = np.searchsorted(seg * span + r_reach, seg_a * span + r_left, "right")
+    return order, lo, hi
+
+
+def _overlap_pairs(seg_a: np.ndarray, a: np.ndarray, seg_b: np.ndarray, b: np.ndarray):
+    """(i, j, iou) of every box i of `a` and j of `b` in the same segment
+    whose IoU is above 0, in one sweep over all segments.
+
+    `a` and `b` are (4, n) x, y, w, h rows of finite boxes with positive
+    sides, `seg_a` and `seg_b` their int64 segment codes (frames, say). The
+    IoUs have iou_columns' bits, from the same formula; the pairs come in
+    order of i, and they are exactly the non-zero cells among same-segment
+    pairs. Only the candidates of _overlap_windows are tested, _PAIR_BLOCK
+    at a time, so no (n_a, n_b) matrix is made.
+    """
+    order, lo, hi = _overlap_windows(seg_a, a, seg_b, b)
+    width = np.maximum(hi - lo, 0)
+    ends = np.cumsum(width)
+    first = ends - width  # candidate number of each window's first box
+    total = int(ends[-1]) if len(ends) else 0
+    found = []
+    for start in range(0, total, _PAIR_BLOCK):
+        cand = np.arange(start, min(start + _PAIR_BLOCK, total))
+        i = np.searchsorted(ends, cand, "right")
+        j = order[lo[i] + (cand - first[i])]
+        ax, ay, aw, ah = a[:, i]
+        bx, by, bw, bh = b[:, j]
+        with np.errstate(over="ignore"):
+            # Candidates meet on x from the left by their window; the rest
+            # of the overlap test, on the edges the formula computes.
+            meet = (bx + bw > ax) & (ay + ah > by) & (by + bh > ay)
+        i, j = i[meet], j[meet]
+        ious = _iou_of(*a[:, i], *b[:, j])
+        hit = ious > 0
+        found.append((i[hit], j[hit], ious[hit]))
+    if not found:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -217,6 +289,14 @@ def _frame_rows(frame: np.ndarray) -> dict:
     cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
     starts, ends = [0, *cuts], [*cuts, len(frame)]
     return dict(zip(frame[starts].tolist(), map(slice, starts, ends)))
+
+
+def _frame_codes(frame_rows: dict, code: dict, n: int) -> np.ndarray:
+    """The int64 `code` of each of `n` rows' frame, from _frame_rows' slices."""
+    seg = np.empty(n, dtype=np.intp)
+    for frame, take in frame_rows.items():
+        seg[take] = code[frame]
+    return seg
 
 
 class _FrameColumns(NamedTuple):

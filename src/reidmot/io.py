@@ -47,9 +47,11 @@ parse_gt, whose records then become the same frame-sorted columns
 (_parse_detection_columns, _parse_box_table) that a clean text gives.
 
 `reidmot track` and `reidmot nms` stay on columns to the end, with no
-record per row on clean input. Both suppress with one driver (_nms_rows: a
-keep mask over the detection columns, nms's kernel _nms_keep run once per
-frame). `reidmot nms` writes the kept rows (_detection_text); `reidmot
+record per row on clean input. Both suppress with one driver, which nms
+runs too (_nms_rows: a keep mask over the detection columns from one
+overlap sweep over the whole file, core._overlap_pairs, with the greedy
+loop run only over the boxes that have a same-class neighbour above the
+threshold). `reidmot nms` writes the kept rows (_detection_text); `reidmot
 track` joins the detections to the embedding block by position
 (_embedding_rows: the keys sorted once and compared in one pass with each
 detection's frame and rank within it, attach_embeddings raising on a
@@ -73,11 +75,12 @@ from .core import (
     GtEntry,
     _box_columns,
     _exact_column,
+    _frame_codes,
     _FrameColumns,
     _frame_rows,
+    _overlap_pairs,
     embedding_dim,
     group_by_frame,
-    iou_columns,
     normalize_embedding,
     unit_rows,
 )
@@ -753,42 +756,49 @@ def nms(detections, iou_thresh: float) -> list[Detection]:
     Candidates are visited in descending score order (ties: earlier file
     order first); a candidate is kept iff its IoU with every already-kept box
     of the same class is <= iou_thresh, so keeping a box suppresses every box
-    of its class that overlaps it by more. The frame's IoU matrix is built
-    once. NMS drops boxes and never reorders them: the kept detections are
+    of its class that overlaps it by more. The detections are suppressed as
+    one frame by _nms_rows, whose overlaps come as pairs, not as a matrix.
+    NMS drops boxes and never reorders them: the kept detections are
     returned in their input order.
     """
-    _check_iou_thresh(iou_thresh)
-    keep = _nms_keep(_box_columns([d.bbox for d in detections]),
-                     np.array([d.score for d in detections], dtype=np.float64),
-                     np.array([d.class_id for d in detections]), iou_thresh)
+    columns = _DetectionColumns(np.zeros(len(detections), dtype=np.intp),
+                                _box_columns([d.bbox for d in detections]),
+                                np.array([d.score for d in detections], dtype=np.float64),
+                                np.array([d.class_id for d in detections]))
+    keep = _nms_rows(columns, {0: slice(0, len(detections))}, iou_thresh)
     return list(compress(detections, keep.tolist()))
-
-
-def _nms_keep(boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
-              iou_thresh: float) -> np.ndarray:
-    """nms' keep mask over one frame's columns: the one NMS kernel, for nms
-    and _nms_rows. `boxes` is (4, n): x, y, w, h rows."""
-    # overlaps[i, j]: keeping i suppresses j
-    overlaps = (iou_columns(boxes, boxes) > iou_thresh) & (class_ids[:, None] == class_ids)
-    suppressed = np.zeros(len(scores), dtype=bool)
-    keep = np.zeros(len(scores), dtype=bool)
-    for i in np.argsort(-scores, kind="stable").tolist():  # ties: earlier row first
-        if not suppressed[i]:
-            keep[i] = True
-            suppressed |= overlaps[i]
-    return keep
 
 
 def _nms_rows(detections: _DetectionColumns, frame_rows: dict, iou_thresh: float) -> np.ndarray:
     """The keep mask of nms run on each frame of `detections` (`frame_rows`
-    is _frame_rows of their frames): the one NMS driver, for `reidmot nms`
-    and `reidmot track`. The threshold is checked before the first frame,
-    so a bad one is rejected even when there are no frames at all."""
+    is _frame_rows of their frames, which covers every row): the one NMS
+    driver, for nms, `reidmot nms` and `reidmot track`. The threshold is
+    checked before anything else, so a bad one is rejected even when there
+    are no frames at all.
+
+    One overlap sweep over the whole file (core._overlap_pairs) gives the
+    same-frame pairs; those of one class with IoU above the threshold are
+    the edges. A box with no edge is kept, and only the boxes with one go
+    through the greedy loop, in (frame, -score, row) order.
+    """
     _check_iou_thresh(iou_thresh)
-    keep = np.zeros(len(detections.scores), dtype=bool)
-    for take in frame_rows.values():
-        keep[take] = _nms_keep(detections.boxes[:, take], detections.scores[take],
-                               detections.class_id[take], iou_thresh)
+    boxes, scores, class_id = detections.boxes, detections.scores, detections.class_id
+    frame = _frame_codes(frame_rows, dict(zip(frame_rows, range(len(frame_rows)))), len(scores))
+    i, j, ious = _overlap_pairs(frame, boxes, frame, boxes)
+    edge = (ious > iou_thresh) & (i != j)
+    i, j = i[edge], j[edge]
+    same = class_id[i] == class_id[j]
+    i, j = i[same], j[same]
+    # The pairs come in order of i, so i's neighbours are j[near[i]:near[i + 1]].
+    near = np.searchsorted(i, np.arange(len(scores) + 1))
+    conflict = np.unique(i)
+    keep = np.ones(len(scores), dtype=bool)
+    keep[conflict] = False
+    suppressed = np.zeros(len(scores), dtype=bool)
+    for k in conflict[np.lexsort((conflict, -scores[conflict], frame[conflict]))].tolist():
+        if not suppressed[k]:  # ties: earlier row first
+            keep[k] = True
+            suppressed[j[near[k]:near[k + 1]]] = True
     return keep
 
 

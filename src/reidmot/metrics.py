@@ -6,14 +6,20 @@ overlap at the gate, and only the leftovers go through a fresh Hungarian match
 on 1 - IoU. MOTP here is the mean matched *distance* (1 - IoU), so 0.0 is
 perfect and lower is better.
 
-One core scores two BoxTables (`core`) in one walk over the frames: it
-builds each frame's gt x pred IoU matrix on column slices
-(`core.iou_columns`), updates the CLEAR-MOT counts and the IDF1 overlap
-counter from it, and lets it go before the next frame, so one matrix is held
-at a time. The identity-to-track assignment of IDF1 runs once, after the
-walk. `evaluate` checks its records and turns them into tables, gt sorted by
-(frame, identity) and predictions stably by frame, so input order is kept
-within a frame; `clear_mot` and `idf1` return their fields of `evaluate`.
+Every gate rule is `IoU >= iou_gate`: the persistence check, the fresh
+match (which admits exactly those pairs, at cost 1 - IoU) and the IDF1
+overlap counter.
+
+One core scores two BoxTables (`core`) with no gt x pred IoU matrix. One
+sweep over all frames (`core._overlap_pairs`) gives every same-frame
+gt x pred pair with IoU above 0; the IDF1 overlap counter is one mask over
+those pairs, and the walk over the frames reads them for the persistence
+check, MOTP, and each fresh solve, whose matrix spans only that frame's
+free rows x free cols. The identity-to-track assignment of IDF1 runs once,
+after the walk. `evaluate` checks its records and turns them into tables,
+gt sorted by (frame, identity) and predictions stably by frame, so input
+order is kept within a frame; `clear_mot` and `idf1` return their fields of
+`evaluate`.
 `reidmot eval` reads its two files straight into tables (`io`) and calls the
 same core.
 """
@@ -24,10 +30,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assign import gate_costs, solve_assignment
+from .assign import FORBIDDEN, gate_costs, solve_assignment
 # Nothing here calls `iou`; it is imported so that callers which patch
 # `metrics.iou`, such as the benchmark's call counter, still find it.
-from .core import BoxTable, _frame_rows, iou, iou_columns  # noqa: F401
+from .core import BoxTable, _frame_codes, _frame_rows, _overlap_pairs, iou  # noqa: F401
 from .errors import ConfigError, DuplicateEntryError, EmptyGtError
 
 
@@ -88,19 +94,6 @@ def _tables(gt, pred) -> tuple[BoxTable, BoxTable]:
             BoxTable.from_records(pred, [o.track_id for o in pred]))
 
 
-def _frame_ious(gt: BoxTable, pred: BoxTable):
-    """Yield (gt ids, pred ids, ious) for every frame either side has, ascending.
-
-    The ids are lists in table order and ious is their IoU matrix.
-    """
-    gt_rows, pred_rows = _frame_rows(gt.frame), _frame_rows(pred.frame)
-    gt_ids, pred_ids = gt.ids.tolist(), pred.ids.tolist()
-    no_rows = slice(0, 0)
-    for frame in sorted(gt_rows.keys() | pred_rows.keys()):
-        g, p = gt_rows.get(frame, no_rows), pred_rows.get(frame, no_rows)
-        yield gt_ids[g], pred_ids[p], iou_columns(gt.boxes[:, g], pred.boxes[:, p])
-
-
 def clear_mot(gt, pred, iou_gate: float = 0.5) -> ClearMotResult:
     """The CLEAR-MOT fields of `evaluate(gt, pred, iou_gate)`.
 
@@ -128,7 +121,7 @@ def idf1(gt, pred, iou_gate: float = 0.5) -> tuple[float, float, float]:
 def evaluate(gt, pred, iou_gate: float = 0.5) -> EvalReport:
     """Full report: CLEAR-MOT counts plus IDF1 at the same gate.
 
-    Each frame's IoU matrix is built once and read by both.
+    The overlapping pairs are found once and read by both.
     """
     _check_inputs(gt, pred, iou_gate)
     return _evaluate_tables(*_tables(gt, pred), iou_gate)
@@ -141,50 +134,70 @@ def _evaluate_tables(gt: BoxTable, pred: BoxTable, iou_gate: float) -> EvalRepor
     identity order and pred rows in the order matching should see them.
     """
     _check_gate(iou_gate, len(gt))
+    gt_rows, pred_rows = _frame_rows(gt.frame), _frame_rows(pred.frame)
+    frames = sorted(gt_rows.keys() | pred_rows.keys())
+    # Every same-frame gt x pred pair with IoU above 0, in order of gt row,
+    # from one sweep over all frames (coded 0, 1, ... in frame order).
+    code = {frame: k for k, frame in enumerate(frames)}
+    pi, pj, piou = _overlap_pairs(_frame_codes(gt_rows, code, len(gt)), gt.boxes,
+                                  _frame_codes(pred_rows, code, len(pred)), pred.boxes)
+    gt_ids, pred_ids = gt.ids.tolist(), pred.ids.tolist()
+    at_gate = piou >= iou_gate
+    # (gt identity, track id) -> frames they overlap at the gate
+    overlap = Counter(zip(gt.ids[pi[at_gate]].tolist(), pred.ids[pj[at_gate]].tolist()))
     last_pairing: dict[int, int] = {}  # gt identity -> track id of last match
-    overlap = Counter()  # (gt identity, track id) -> frames they overlap at the gate
     fp = fn = idsw = 0
     dist_sum = 0.0
     n_matches = 0
 
-    for gt_ids, pred_ids, ious in _frame_ious(gt, pred):
-        col_of = {tid: j for j, tid in enumerate(pred_ids)}
-        pairs = []  # (gt row, pred column)
+    no_rows = slice(0, 0)
+    for frame in frames:
+        g, p = gt_rows.get(frame, no_rows), pred_rows.get(frame, no_rows)
+        lo, hi = np.searchsorted(pi, (g.start, g.stop)).tolist()
+        fi, fj, fiou = pi[lo:hi], pj[lo:hi], piou[lo:hi]
+        iou_of = dict(zip(zip(fi.tolist(), fj.tolist()), fiou.tolist()))
+        col_of = {pred_ids[j]: j for j in range(p.start, p.stop)}
+        pairs = []  # (gt row, pred row, 1 - IoU)
         free_rows = []
         taken = set()
         # Keep last-known pairings that still hold up at the gate.
-        for i, identity in enumerate(gt_ids):
-            j = col_of.get(last_pairing.get(identity))
-            if j is not None and j not in taken and ious[i, j] >= iou_gate:
-                pairs.append((i, j))
+        for i in range(g.start, g.stop):
+            j = col_of.get(last_pairing.get(gt_ids[i]))
+            kept = iou_of.get((i, j), 0.0)  # 0.0 when j is None
+            if j not in taken and kept >= iou_gate:
+                pairs.append((i, j, 1.0 - kept))
                 taken.add(j)
             else:
                 free_rows.append(i)
-        free_cols = [j for j in range(len(pred_ids)) if j not in taken]
+        free_cols = [j for j in range(p.start, p.stop) if j not in taken]
 
-        # Fresh Hungarian match on whatever is left.
+        # Fresh Hungarian match on whatever is left, admitting the pairs at the gate.
         if free_rows and free_cols:
-            costs = 1.0 - ious[free_rows][:, free_cols]
+            row_at = np.full(g.stop - g.start, -1)
+            row_at[np.array(free_rows) - g.start] = np.arange(len(free_rows))
+            col_at = np.full(p.stop - p.start, -1)
+            col_at[np.array(free_cols) - p.start] = np.arange(len(free_cols))
+            admit = fiou >= iou_gate
+            r, c = row_at[fi[admit] - g.start], col_at[fj[admit] - p.start]
+            free = (r >= 0) & (c >= 0)
+            costs = np.full((len(free_rows), len(free_cols)), FORBIDDEN)
+            costs[r[free], c[free]] = 1.0 - fiou[admit][free]
             res = solve_assignment(gate_costs(costs, 1.0 - iou_gate))
-            pairs += [(free_rows[r], free_cols[c]) for r, c in res.matches]
+            pairs += [(free_rows[a], free_cols[b], float(costs[a, b])) for a, b in res.matches]
             fn += len(res.unmatched_rows)
             fp += len(res.unmatched_cols)
         else:
             fn += len(free_rows)
             fp += len(free_cols)
 
-        for i, j in pairs:
+        for i, j, dist in pairs:
             identity, tid = gt_ids[i], pred_ids[j]
             prev = last_pairing.get(identity)
             if prev is not None and prev != tid:
                 idsw += 1
             last_pairing[identity] = tid
-            dist_sum += 1.0 - float(ious[i, j])
+            dist_sum += dist
             n_matches += 1
-
-        rows, cols = np.nonzero(ious >= iou_gate)
-        overlap.update((gt_ids[i], pred_ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-        del ious  # held no longer than its frame
 
     # IDF1: the identity-to-track assignment of most total overlap.
     idtp = 0

@@ -224,7 +224,7 @@ def reference_evaluate(gt, pred, iou_gate):
 
     Frames ascend; a gt identity keeps its last track when their IoU still
     clears the gate (identities visited in ascending order), the rest go to
-    brute_force_assignment on 1 - IoU with pairs past 1 - iou_gate forbidden.
+    brute_force_assignment on 1 - IoU with pairs below iou_gate forbidden.
     IDF1 counts per-frame (identity, track) overlaps at the gate and takes
     scipy's maximum-weight assignment. Returns a dict with EvalReport's fields.
     """
@@ -252,8 +252,8 @@ def reference_evaluate(gt, pred, iou_gate):
         if free_gts and free_preds:
             costs = []
             for g in free_gts:
-                row = [1.0 - scalar_iou(g.bbox, p.bbox) for p in free_preds]
-                costs.append([c if c <= 1.0 - iou_gate else float("inf") for c in row])
+                row = [scalar_iou(g.bbox, p.bbox) for p in free_preds]
+                costs.append([1.0 - v if v >= iou_gate else float("inf") for v in row])
             card, _, matches = brute_force_assignment(costs)
             pairs += [(free_gts[gi], free_preds[pj]) for gi, pj in matches]
             fn += len(free_gts) - card

@@ -17,7 +17,14 @@ from reidmot import (
     iou,
     normalize_embedding,
 )
-from reidmot.core import MAX_TAU, iou_matrix
+from reidmot.core import (
+    MAX_TAU,
+    _box_columns,
+    _overlap_pairs,
+    _overlap_windows,
+    iou_columns,
+    iou_matrix,
+)
 
 from oracles import scalar_iou
 
@@ -142,6 +149,77 @@ def test_iou_is_the_kernel_on_one_pair():
     a, b = BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)
     assert type(iou(a, b)) is float
     assert iou(a, b) == iou_matrix([a], [b])[0, 0] == scalar_iou(a, b)
+
+
+# The extremes of the float line: coordinates and sides near the largest
+# float (x + w overflows), the smallest subnormal, -0.0, and the far box of
+# the test above whose union rounds to zero; the grid boxes touch at edges.
+BIG = 1.7976931348623157e308
+extreme_coord = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, 1e308, -1e308,
+                                 BIG, -BIG, 9007199254740994.0])
+extreme_side = st.sampled_from([5e-324, 1e-300, 1.0, 2.0, 1e308, BIG])
+pair_boxes = st.one_of(kernel_boxes, st.builds(BBox, extreme_coord, extreme_coord,
+                                               extreme_side, extreme_side))
+segmented = st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 10**6]), pair_boxes), max_size=12)
+
+
+def _segmented_columns(rows):
+    return (np.array([seg for seg, _ in rows], dtype=np.intp).reshape(-1),
+            _box_columns([box for _, box in rows]))
+
+
+def _same_pairs(seg_a, a, seg_b, b):
+    """_overlap_pairs gives exactly the non-zero same-segment cells of
+    iou_columns, with their bits, in order of the row of `a`."""
+    i, j, ious = _overlap_pairs(seg_a, a, seg_b, b)
+    assert (np.diff(i) >= 0).all()
+    dense = iou_columns(a, b)
+    want_i, want_j = np.nonzero((dense > 0) & (seg_a[:, None] == seg_b))
+    order = np.lexsort((j, i))
+    assert i[order].tolist() == want_i.tolist() and j[order].tolist() == want_j.tolist()
+    assert ious.dtype == np.float64
+    assert ious[order].tobytes() == dense[want_i, want_j].tobytes()
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(segmented, segmented)
+def test_overlap_pairs_are_the_nonzero_same_segment_cells_of_iou_columns(a, b):
+    seg_a, cols_a = _segmented_columns(a)
+    seg_b, cols_b = _segmented_columns(b)
+    _same_pairs(seg_a, cols_a, seg_b, cols_b)
+    _same_pairs(np.r_[seg_a, seg_b], np.c_[cols_a, cols_b], np.r_[seg_a, seg_b],
+                np.c_[cols_a, cols_b])
+
+
+def test_overlap_pairs_hand_cases():
+    a = BBox(0, 0, 2, 2)
+    far = BBox(0.0, 9007199254740994.0, 1.0, 1.0)  # its union with itself rounds to 0
+    touching = [a, BBox(2, 0, 2, 2), BBox(0, 2, 2, 2), BBox(2, 2, 1, 1)]
+    seg, cols = _segmented_columns([(0, box) for box in touching + [far]])
+    i, j, ious = _overlap_pairs(seg, cols, seg, cols)
+    # Edge-touching boxes and the zero union give no pair: each box meets itself.
+    assert list(zip(i.tolist(), j.tolist(), ious.tolist())) == [(0, 0, 1.0), (1, 1, 1.0),
+                                                               (2, 2, 1.0), (3, 3, 1.0)]
+    none = np.empty(0, dtype=np.intp)
+    for empty in ((none, np.empty((4, 0)), seg, cols), (seg, cols, none, np.empty((4, 0)))):
+        got = _overlap_pairs(*empty)
+        assert [len(x) for x in got] == [0, 0, 0] and got[2].dtype == np.float64
+        _same_pairs(*empty)
+
+
+def test_one_huge_box_widens_the_windows_of_its_own_segment_only():
+    # 50 unit boxes in a row in each of two segments; segment 0 also holds
+    # one box wider than the row. So every window of segment 0 reaches back
+    # to its first box and the huge box's window is the whole segment,
+    # while segment 1's windows stay a box or two wide.
+    row = [BBox(2.0 * k, 0, 1, 1) for k in range(50)]
+    rows = [(0, box) for box in row] + [(0, BBox(-1, 0, 1e6, 1))] + [(1, box) for box in row]
+    seg, cols = _segmented_columns(rows)
+    order, lo, hi = _overlap_windows(seg, cols, seg, cols)
+    assert seg[order].tolist() == sorted(seg.tolist())
+    assert lo[:51].tolist() == [0] * 51 and hi[50] == 51
+    assert (hi - lo)[51:].max() <= 2
+    _same_pairs(seg, cols, seg, cols)
 
 
 def test_normalize_embedding_unit_norm():

@@ -3,7 +3,6 @@ import io
 import math
 import re
 import warnings
-from dataclasses import replace
 from itertools import compress
 
 import numpy as np
@@ -668,27 +667,33 @@ def test_nms_idempotent_and_subset_on_random_frames():
                     assert iou(kept[i].bbox, kept[j].bbox) <= thresh
 
 
-def test_nms_rows_calls_nms_keep_once_per_frame(monkeypatch):
-    frames = [[_d(0, 0.9), _d(1, 0.8)], [_d(5, 0.5)], [_d(0, 0.3), _d(20, 0.9), _d(1, 0.4)]]
-    groups = [[replace(d, frame=frame) for d in group]
-              for frame, group in enumerate(frames, start=1)]
-    dets = [d for group in groups for d in group]
-    expected = [d for group in groups for d in nms(group, 0.5)]
+@st.composite
+def nms_files(draw):
+    """Detections of 1-4 frames on a small grid, so IoUs repeat and land on
+    the thresholds; scores and classes from a few values, so they tie; and
+    frames and classes past int64 in some files."""
+    big = draw(st.sampled_from([0, 0, 2**64]))
+    grid, side = st.integers(0, 6).map(float), st.sampled_from([2.0, 3.0, 4.0])
+    frames = []
+    for frame in range(1, draw(st.integers(1, 4)) + 1):
+        frames.append([Detection(frame + big, BBox(draw(grid), draw(grid), draw(side), draw(side)),
+                                 draw(st.sampled_from([0.3, 0.5, 0.5, 0.9])),
+                                 big + draw(st.integers(0, 2)))
+                       for _ in range(draw(st.integers(0, 8)))])
+    return frames
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(nms_files(), st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_nms_rows_keeps_what_greedy_nms_keeps_frame_by_frame(frames, thresh):
+    dets = [d for frame in frames for d in frame]
+    kept_ids = {id(d) for frame in frames for d in greedy_nms(frame, thresh)}
     columns = seqio._parse_detection_columns(write_detections(dets))
-    calls = []
-    keep_one = seqio._nms_keep
-
-    def counted(boxes, scores, class_ids, thresh):
-        calls.append(len(scores))
-        return keep_one(boxes, scores, class_ids, thresh)
-
-    monkeypatch.setattr(seqio, "_nms_keep", counted)
-    keep = seqio._nms_rows(columns, _frame_rows(columns.frame), 0.5)
-    assert calls == [2, 1, 3]
-    assert list(compress(dets, keep.tolist())) == expected
+    keep = seqio._nms_rows(columns, _frame_rows(columns.frame), thresh)
+    assert keep.dtype == bool and [id(d) for d in compress(dets, keep.tolist())] == [
+        id(d) for d in dets if id(d) in kept_ids]
     with pytest.raises(ConfigError):  # checked before the first frame
         seqio._nms_rows(columns, {}, 1.5)
-    assert calls == [2, 1, 3]
 
 
 # Property tests. Fixed settings keep them deterministic and quick.

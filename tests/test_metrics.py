@@ -1,7 +1,5 @@
 import dataclasses
-import gc
 import os
-import weakref
 
 import numpy as np
 import pytest
@@ -21,8 +19,10 @@ from reidmot import (
     parse_gt,
 )
 from reidmot.io import _parse_box_table, load_text
+import reidmot.core as core
 import reidmot.metrics as metrics
 from reidmot.metrics import _evaluate_tables
+from reidmot.synth import ScenarioSpec, generate
 
 from field_texts import EDGE_PADS, INT_TEXTS, REAL_TEXTS
 from oracles import brute_force_assignment, reference_evaluate
@@ -230,30 +230,75 @@ def test_injected_switch_count_is_recovered_exactly():
     assert cm.mota == pytest.approx(1.0 - 3 / 240, abs=1e-12)
 
 
-def test_evaluation_holds_one_frame_matrix_at_a_time(monkeypatch):
-    # evaluate's one walk (`_evaluate_tables`) lets each frame's IoU matrix
-    # go once the frame is scored, before the next is built: one is held at
-    # a time, and no list of them outlives the frames.
+def test_evaluation_builds_no_dense_iou_matrix(monkeypatch):
+    # evaluate's one walk (`_evaluate_tables`) takes the gt x pred overlaps
+    # as pairs from one sweep over all frames: it never calls iou_columns,
+    # and each fresh solve's matrix spans only its frame's free rows x free
+    # cols, not the frame's gt x pred.
     frames = 40
     g = [gt(f, i, BBox(20 * i, f, 10, 10)) for f in range(1, frames + 1) for i in (1, 2, 3)]
     p = [out(f, i + 10 * (f > 20), BBox(20 * i + 1, f, 10, 10))
          for f in range(1, frames + 1) for i in (1, 2, 3)]
-    built = []
-    alive_at_build = []
-    iou_columns = metrics.iou_columns
 
-    def tracked(a, b):
-        gc.collect()
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        matrix = iou_columns(a, b)
-        built.append(weakref.ref(matrix))
-        return matrix
+    def refused(a, b):
+        raise AssertionError("evaluation built a dense IoU matrix")
 
-    monkeypatch.setattr(metrics, "iou_columns", tracked)
+    monkeypatch.setattr(core, "iou_columns", refused)
+    monkeypatch.setattr(metrics, "iou_columns", refused, raising=False)
+    solved = []
+    solve = metrics.solve_assignment
+
+    def recorded(costs):
+        solved.append(costs.shape)
+        return solve(costs)
+
+    monkeypatch.setattr(metrics, "solve_assignment", recorded)
     report = evaluate(g, p)
-    assert len(built) == frames
-    assert max(alive_at_build) == 0
+    assert solved == [(3, 3), (3, 3)]  # frame 1, and frame 21 where every track id changes
     assert (report.idsw, report.fp, report.fn) == (3, 0, 0)
+    # Only identity 2 changes track at frame 21: its row and column alone are free.
+    solved.clear()
+    p = [out(f, i + 10 * (f > 20 and i == 2), BBox(20 * i + 1, f, 10, 10))
+         for f in range(1, frames + 1) for i in (1, 2, 3)]
+    report = evaluate(g, p)
+    assert solved == [(3, 3), (1, 1)]
+    assert (report.idsw, report.fp, report.fn) == (1, 0, 0)
+
+
+def test_overlap_candidates_stay_a_small_share_of_the_dense_cells(monkeypatch):
+    # Counted, not timed: on a seeded 250-identity crowd, the sweep's
+    # candidate pairs (the sum of its window widths) stay under 10% of the
+    # gt x pred cells, so a silent fall back to dense work fails here.
+    bundle = generate(ScenarioSpec(num_identities=250, num_frames=3, embedding_dim=4,
+                                   min_identity_separation=0.0, embed_noise_sigma=0.05,
+                                   clutter_rate=5, seed=3))
+    g = list(bundle.gt)
+    p = [out(fi.frame, k, d.bbox) for fi in bundle.frames for k, d in enumerate(fi.detections)]
+    widths = []
+    windows = core._overlap_windows
+
+    def counted(seg_a, a, seg_b, b):
+        order, lo, hi = windows(seg_a, a, seg_b, b)
+        widths.append(int(np.maximum(hi - lo, 0).sum()))
+        return order, lo, hi
+
+    monkeypatch.setattr(core, "_overlap_windows", counted)
+    evaluate(g, p)
+    cells = sum(sum(e.frame == fi.frame for e in g) * len(fi.detections) for fi in bundle.frames)
+    assert cells > 3 * 250 * 250 and len(widths) == 1
+    assert widths[0] < 0.1 * cells
+
+
+def test_a_pair_below_the_gate_never_matches():
+    # 1 - iou_gate rounds to 1.0 for a gate below about 1.1e-16; gated on
+    # 1 - IoU, the frame-1 pair of IoU 0 was a match, and its track's change
+    # at frame 2 a switch. The gate admits iou >= iou_gate only.
+    g = [gt(1, 1), gt(2, 1)]
+    p = [out(1, 7, BBox(100, 100, 10, 10)), out(2, 8)]
+    for gate in (1e-17, 5e-324, 1e-9):
+        rep = evaluate(g, p, gate)
+        assert (rep.fp, rep.fn, rep.idsw, rep.motp) == (1, 1, 0, 0.0)
+        assert dataclasses.asdict(rep) == reference_evaluate(g, p, gate)
 
 
 def test_iou_gate_validation():
