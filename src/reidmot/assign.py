@@ -7,11 +7,17 @@ finite cost the solver could trade away), rectangular inputs, maximum-cardinalit
 deterministic choice among the optima: the lexicographically smallest
 row-sorted pair list.
 
-solve_assignment leaves at the first of four exits that settles the matrix:
-forced (each row and each column admits at most one entry, so those entries
-are the only optimum and no solve runs), one solve (no lower entry could
-give a smaller optimum), a check solve (one that would find such an optimum
+Admissibility is one bool mask. _match takes a cost matrix and that mask
+and returns the matching as (rows, cols) intp arrays in row order; it
+leaves at the first of four exits that settles the matrix: forced (each
+row and each column admits at most one entry, so those entries are the
+only optimum and no solve runs), one solve (no lower entry could give a
+smaller optimum), a check solve (one that would find such an optimum
 returns the first), and otherwise _fix_rows, one row at a time.
+solve_assignment checks a matrix (_validate), matches it on
+`costs != FORBIDDEN` and wraps the arrays in an AssignmentResult (_result).
+Tracker._stage and the evaluation's fresh solve call _match directly with
+their own masks, so neither builds a gated copy or a result of tuples.
 """
 
 import math
@@ -45,7 +51,8 @@ def gate_costs(costs: np.ndarray, max_cost: float) -> np.ndarray:
     return np.where(costs > max_cost, FORBIDDEN, costs)
 
 
-def _validate(costs: np.ndarray) -> np.ndarray:
+def _validate(costs: np.ndarray):
+    """Raise ValueError unless `costs` is 2-D with no NaN and no negative entry."""
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {costs.shape}")
     # min propagates NaN, so one pass finds NaN and negative entries alike.
@@ -53,7 +60,6 @@ def _validate(costs: np.ndarray) -> np.ndarray:
         if np.any(np.isnan(costs)):
             raise ValueError("cost matrix contains NaN")
         raise ValueError("costs must be non-negative (FORBIDDEN is +inf)")
-    return costs != FORBIDDEN
 
 
 def _solve(costs: np.ndarray, allowed: np.ndarray):
@@ -108,7 +114,7 @@ def _forced(allowed: np.ndarray):
     when every row and every column holds at most one; else None."""
     rows, cols = allowed.shape
     if not cols:
-        return np.empty((2, 0), dtype=np.intp)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     first = allowed.argmax(1)
     r = np.flatnonzero(allowed[np.arange(rows), first])
     c = first[r]
@@ -138,27 +144,22 @@ def _result(costs: np.ndarray, r: np.ndarray, c: np.ndarray) -> AssignmentResult
     )
 
 
-def solve_assignment(costs: np.ndarray) -> AssignmentResult:
-    """Optimal matching of rows to columns under FORBIDDEN constraints.
+def _match(costs: np.ndarray, allowed: np.ndarray):
+    """solve_assignment's matching of `costs` over the bool mask `allowed`.
 
-    Among all matchings that avoid FORBIDDEN entries, takes those of maximum
-    cardinality and, among them, minimum total cost, with totals compared
-    exactly. Of these it returns the one whose row-sorted pair list is
-    lexicographically smallest: the lowest row that can be matched is, and
-    to its lowest possible column, then the next row, and so on. Rows and
-    columns left over are reported unmatched.
+    Returns (rows, cols) intp arrays, rows ascending. The admissible
+    entries of `costs` must be finite and non-negative; the entries the
+    mask leaves out do not affect the result.
 
-    The exits, in order: a forced matrix (at most one admissible entry in
+    The exits, in order: a forced mask (at most one admissible entry in
     each row and each column) returns its entries without a solve, since
     every matching is a subset of them; otherwise one solve, kept when no
     lower entry exists; then a check solve, kept when it returns the same
     pairs; then _fix_rows.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    allowed = _validate(costs)
     forced = _forced(allowed)
     if forced is not None:
-        return _result(costs, *forced)
+        return forced
     rows, cols = costs.shape
     pairs, key = _solve(costs, allowed)
 
@@ -177,4 +178,23 @@ def solve_assignment(costs: np.ndarray) -> AssignmentResult:
         if _solve(np.where(lower, costs, costs + eps), allowed)[0] != pairs:
             pairs = _fix_rows(costs, allowed, pairs, key)
 
-    return _result(costs, *np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def solve_assignment(costs: np.ndarray) -> AssignmentResult:
+    """Optimal matching of rows to columns under FORBIDDEN constraints.
+
+    Among all matchings that avoid FORBIDDEN entries, takes those of maximum
+    cardinality and, among them, minimum total cost, with totals compared
+    exactly. Of these it returns the one whose row-sorted pair list is
+    lexicographically smallest: the lowest row that can be matched is, and
+    to its lowest possible column, then the next row, and so on. Rows and
+    columns left over are reported unmatched.
+
+    The matrix is checked (_validate), matched by _match on the mask of its
+    non-FORBIDDEN entries, and the pairs wrapped by _result.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    _validate(costs)
+    return _result(costs, *_match(costs, costs != FORBIDDEN))

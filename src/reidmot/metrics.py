@@ -7,8 +7,8 @@ on 1 - IoU. MOTP here is the mean matched *distance* (1 - IoU), so 0.0 is
 perfect and lower is better.
 
 Every gate rule is `IoU >= iou_gate`: the persistence check, the fresh
-match (which admits exactly those pairs, at cost 1 - IoU) and the IDF1
-overlap counter.
+match (whose admissible mask is exactly those pairs, at cost 1 - IoU,
+matched by `assign._match`) and the IDF1 overlap counter.
 
 One core scores two BoxTables (`core`) with no gt x pred IoU matrix. One
 sweep over all frames (`core._overlap_pairs`) gives every same-frame
@@ -30,9 +30,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assign import FORBIDDEN, gate_costs, solve_assignment
-# Nothing here calls `iou`; it is imported so that callers which patch
-# `metrics.iou`, such as the benchmark's call counter, still find it.
+from .assign import FORBIDDEN, _match
+# Nothing here calls `solve_assignment` or `iou`; they are imported so that
+# callers which patch them, such as the benchmark's tracer and call counter,
+# still find them.
+from .assign import solve_assignment  # noqa: F401
 from .core import BoxTable, _frame_codes, _frame_rows, _overlap_pairs, iou  # noqa: F401
 from .errors import ConfigError, DuplicateEntryError, EmptyGtError
 
@@ -180,12 +182,15 @@ def _evaluate_tables(gt: BoxTable, pred: BoxTable, iou_gate: float) -> EvalRepor
             admit = fiou >= iou_gate
             r, c = row_at[fi[admit] - g.start], col_at[fj[admit] - p.start]
             free = (r >= 0) & (c >= 0)
-            costs = np.full((len(free_rows), len(free_cols)), FORBIDDEN)
+            allowed = np.zeros((len(free_rows), len(free_cols)), dtype=bool)
+            allowed[r[free], c[free]] = True
+            costs = np.full(allowed.shape, FORBIDDEN)
             costs[r[free], c[free]] = 1.0 - fiou[admit][free]
-            res = solve_assignment(gate_costs(costs, 1.0 - iou_gate))
-            pairs += [(free_rows[a], free_cols[b], float(costs[a, b])) for a, b in res.matches]
-            fn += len(res.unmatched_rows)
-            fp += len(res.unmatched_cols)
+            rows, cols = _match(costs, allowed)
+            pairs += [(free_rows[a], free_cols[b], float(costs[a, b]))
+                      for a, b in zip(rows.tolist(), cols.tolist())]
+            fn += len(free_rows) - len(rows)
+            fp += len(free_cols) - len(rows)
         else:
             fn += len(free_rows)
             fp += len(free_cols)

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign import FORBIDDEN, gate_costs, solve_assignment
+from .assign import FORBIDDEN, _match, _validate
+# Nothing here calls these two; they are imported so that callers which
+# patch them, such as the benchmark's tracer, still find them.
+from .assign import gate_costs, solve_assignment  # noqa: F401
 from .core import (
     BBox,
     FrameInput,
@@ -414,19 +417,17 @@ class Tracker:
         """One association stage: the tracks on `slots` against the frame's rows `cols`.
 
         The slots' feature rows are costed against the rows' embeddings
-        (class-gated with per_class), costs above 1 - gate are FORBIDDEN,
-        and solve_assignment matches them. Returns (matched slots, their
-        rows, unmatched slots, unmatched rows) as intp arrays.
+        (class-gated with per_class), a NaN cost raises _validate's error,
+        and _match matches them over one admissible mask, costs at or below
+        1 - gate. Returns (matched slots, their rows, unmatched slots,
+        unmatched rows) as intp arrays.
         """
         store = self._store
         classes = (store.class_code[slots], class_codes[cols]) if self.config.per_class else ()
-        res = solve_assignment(gate_costs(
-            _appearance_costs(store.feat[slots], embs[cols], *classes), 1.0 - gate))
-        # The dtype keeps an empty tuple from indexing everything.
-        pairs = np.array(res.matches, dtype=np.intp).reshape(-1, 2)
-        return (slots[pairs[:, 0]], cols[pairs[:, 1]],
-                slots[np.array(res.unmatched_rows, dtype=np.intp)],
-                cols[np.array(res.unmatched_cols, dtype=np.intp)])
+        costs = _appearance_costs(store.feat[slots], embs[cols], *classes)
+        _validate(costs)
+        r, c = _match(costs, costs <= 1.0 - gate)
+        return slots[r], cols[c], np.delete(slots, r), np.delete(cols, c)
 
     def step(self, frame_input: FrameInput) -> list[TrackOutput]:
         """Advance one frame; return the outputs of every matched or founded track.
@@ -459,13 +460,17 @@ class Tracker:
         not to every track ever founded.
 
         The embeddings are used as given, so they should be unit-norm (see
-        normalize_embedding); core.embedding_dim checks their shapes. The
+        normalize_embedding); core.embedding_dim checks their shapes, and a
+        FrameInput holding a NaN or infinite embedding entry raises
+        ValueError `frame F, index I: embedding entries must be finite`,
+        whatever its band (`reidmot track` checks its columns at parse). The
         whole frame is checked and its features computed before any state
         changes: a frame that raises NonMonotonicFrameError,
-        MissingEmbeddingError, DimensionMismatchError, ZeroNormError (a mean
-        that cancels out) or ZeroWeightError (a window whose scores sum to
-        zero) leaves the tracker as it was, since only the matched tracks'
-        spare positions, outside every window, were written.
+        MissingEmbeddingError, DimensionMismatchError, that ValueError,
+        ZeroNormError (a mean that cancels out) or ZeroWeightError (a window
+        whose scores sum to zero) leaves the tracker as it was, since only
+        the matched tracks' spare positions, outside every window, were
+        written.
         """
         frame = frame_input.frame
         if self._last_frame is not None and frame <= self._last_frame:
@@ -478,7 +483,11 @@ class Tracker:
             return self._advance(frame_input, dim)
         dets = frame_input.detections
         dim = embedding_dim(frame, dets, self._dim)
-        track_ids, class_ids, rows = self._advance(_FrameColumns.of(frame_input), dim)
+        columns = _FrameColumns.of(frame_input)
+        bad = np.flatnonzero(~np.isfinite(columns.embs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"frame {frame}, index {bad[0]}: embedding entries must be finite")
+        track_ids, class_ids, rows = self._advance(columns, dim)
         return [TrackOutput(frame, track_id, dets[row].bbox, dets[row].score, class_id)
                 for track_id, class_id, row in zip(track_ids.tolist(), class_ids.tolist(),
                                                    rows.tolist())]

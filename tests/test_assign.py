@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reidmot import FORBIDDEN, gate_costs, solve_assignment
+from reidmot.assign import _match
 
 from oracles import brute_force_assignment
 
@@ -261,3 +264,35 @@ def test_forced_matrices_never_reach_the_solver(monkeypatch):
     assert len(res.unmatched_rows) == 20 and len(res.unmatched_cols) == 10
     with pytest.raises(AssertionError, match="reached _solve"):
         solve_assignment(np.ones((2, 2)))
+
+
+@st.composite
+def gated_matrices(draw):
+    """(costs, m): up to 6 x 6 entries, exactly tied integers, uniform floats
+    or FORBIDDEN, and a gate that is one of the finite entries or any value."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0), st.just(FORBIDDEN))
+    costs = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=np.float64).reshape(rows, cols)
+    finite = costs[np.isfinite(costs)].tolist()
+    gate = st.floats(0.0, 4.0)
+    return costs, draw(st.one_of(st.sampled_from(finite), gate) if finite else gate)
+
+
+@settings(derandomize=True, max_examples=600, database=None, deadline=None)
+@given(gated_matrices())
+@example((np.zeros((0, 3)), 0.5))
+@example((np.zeros((3, 0)), 0.5))
+@example((np.array([[0.5, 0.5], [0.5, 1.0]]), 0.5))  # the gate equal to tied entries
+@example((np.array([[1.0, FORBIDDEN], [2.0, 1.0]]), 1.0))
+def test_match_on_a_mask_equals_solving_the_gated_copy(case):
+    # Tracker._stage and the evaluation's fresh solve pass `costs <= m` to
+    # _match in place of solve_assignment(gate_costs(costs, m)): the same
+    # pairs, rows ascending, and so the same leftovers.
+    costs, m = case
+    rows, cols = _match(costs, costs <= m)
+    res = solve_assignment(gate_costs(costs, m))
+    assert rows.dtype == cols.dtype == np.intp
+    assert tuple(zip(rows.tolist(), cols.tolist())) == res.matches
+    assert tuple(np.delete(np.arange(costs.shape[0]), rows).tolist()) == res.unmatched_rows
+    assert tuple(np.delete(np.arange(costs.shape[1]), cols).tolist()) == res.unmatched_cols

@@ -386,6 +386,37 @@ def test_track_with_nms_founds_on_the_first_kept_box(tmp_path, capsys):
     assert [e.bbox.x for e in first] == [0.0, 0.0]
 
 
+def test_track_and_eval_build_no_gated_copy_and_no_assignment_result(
+        tmp_path, capsys, monkeypatch):
+    # Counted, not timed: both stages and the evaluation's fresh solves
+    # match through assign._match on a bool mask, so a pipeline run builds
+    # no gated copy of a cost matrix (gate_costs) and no AssignmentResult
+    # (_result), and calls no solve_assignment.
+    import reidmot.assign as assign
+    import reidmot.metrics as metrics
+    import reidmot.tracker as tracker
+
+    det, emb, gt = _synth(tmp_path, "--num-identities", "8", "--seed", "3")
+
+    def refused(*args):
+        raise AssertionError("the pipeline built a gated copy or an AssignmentResult")
+
+    for owner, name in ((assign, "_result"), (assign, "gate_costs"),
+                        (tracker, "gate_costs"), (tracker, "solve_assignment"),
+                        (metrics, "solve_assignment")):
+        monkeypatch.setattr(owner, name, refused)
+    matched = []
+    for module in (tracker, metrics):
+        monkeypatch.setattr(module, "_match", lambda costs, allowed, match=module._match,
+                            name=module.__name__: matched.append(name) or match(costs, allowed))
+    results = tmp_path / "results.txt"
+    assert main(["track", str(det), str(emb), str(results), "--nms-thresh", "0.5"]) == 0
+    assert main(["eval", str(gt), str(results)]) == 0
+    capsys.readouterr()
+    assert matched.count("reidmot.tracker") == 2 * 50  # two stages a frame
+    assert matched.count("reidmot.metrics") >= 1  # frame 1's fresh solve at least
+
+
 def test_track_accepts_nms_and_stage2_flags(tmp_path, capsys):
     det, emb, gt = _synth(tmp_path)
     results = tmp_path / "results.txt"

@@ -246,13 +246,13 @@ def test_evaluation_builds_no_dense_iou_matrix(monkeypatch):
     monkeypatch.setattr(core, "iou_columns", refused)
     monkeypatch.setattr(metrics, "iou_columns", refused, raising=False)
     solved = []
-    solve = metrics.solve_assignment
+    match = metrics._match
 
-    def recorded(costs):
+    def recorded(costs, allowed):
         solved.append(costs.shape)
-        return solve(costs)
+        return match(costs, allowed)
 
-    monkeypatch.setattr(metrics, "solve_assignment", recorded)
+    monkeypatch.setattr(metrics, "_match", recorded)
     report = evaluate(g, p)
     assert solved == [(3, 3), (3, 3)]  # frame 1, and frame 21 where every track id changes
     assert (report.idsw, report.fp, report.fn) == (3, 0, 0)

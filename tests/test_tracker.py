@@ -564,6 +564,27 @@ def test_zero_weight_founding_leaves_the_tracker_as_it_was():
     assert [(o.frame, o.track_id) for o in out] == [(1, 1)]
 
 
+@pytest.mark.parametrize("live, score", [
+    (False, 0.1), (False, 0.5), (False, 0.9), (True, 0.5), (True, 0.9),
+], ids=["discarded", "low-no-track", "high-founder", "low-live-track", "high-live-track"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_embedding_fails_the_step_whatever_the_band(live, score, bad):
+    # One rule for every band and tracker state: before, a NaN in the low
+    # or discarded band with no live track was accepted, a founder raised
+    # normalize_embedding's error and a costed one the solver's.
+    tracker = Tracker(TrackerConfig(per_class=False))
+    if live:
+        tracker.step(FrameInput(frame=1, detections=(det(1, 0.9, unit(0, 1, 0)),)))
+    before = _tracker_state(tracker)
+    frame = FrameInput(frame=2, detections=(det(2, 0.9, unit(1, 0, 0)),
+                                            det(2, score, [0.0, bad, 1.0])))
+    with pytest.raises(ValueError, match=r"^frame 2, index 1: embedding entries must be finite$"):
+        tracker.step(frame)
+    assert _tracker_state(tracker) == before
+    out = tracker.step(FrameInput(frame=2, detections=(det(2, 0.9, unit(1, 0, 0)),)))
+    assert [o.frame for o in out] == [2]
+
+
 def test_store_holds_the_rows_of_live_tracks_only():
     # Churn: three identities persist while every frame founds tracks on
     # fresh random appearances that never match again and are removed two
@@ -712,9 +733,9 @@ def test_each_step_solves_stage_1_then_stage_2(monkeypatch, bytetrack_stage2):
     import reidmot.tracker as tracker_module
 
     shapes = []
-    solve = tracker_module.solve_assignment
-    monkeypatch.setattr(tracker_module, "solve_assignment",
-                        lambda costs: shapes.append(costs.shape) or solve(costs))
+    match = tracker_module._match
+    monkeypatch.setattr(tracker_module, "_match",
+                        lambda costs, allowed: shapes.append(costs.shape) or match(costs, allowed))
     cfg = TrackerConfig(high_thresh=0.8, low_thresh=0.4, sim_gate_high=0.8,
                         sim_gate_low=0.3, max_lost_age=1, per_class=False,
                         bytetrack_stage2=bytetrack_stage2)
@@ -748,17 +769,17 @@ def test_stationary_scenario_solves_take_the_forced_exit(monkeypatch):
     import reidmot.tracker as tracker_module
 
     calls = {"stage": 0, "solver": 0}
-    stage_solve, solve = tracker_module.solve_assignment, assign._solve
+    stage_match, solve = tracker_module._match, assign._solve
 
-    def count_stage(costs):
+    def count_stage(costs, allowed):
         calls["stage"] += 1
-        return stage_solve(costs)
+        return stage_match(costs, allowed)
 
     def count_solver(costs, allowed):
         calls["solver"] += 1
         return solve(costs, allowed)
 
-    monkeypatch.setattr(tracker_module, "solve_assignment", count_stage)
+    monkeypatch.setattr(tracker_module, "_match", count_stage)
     monkeypatch.setattr(assign, "_solve", count_solver)
     spec = ScenarioSpec(num_identities=20, num_frames=40, embedding_dim=32,
                         embed_noise_sigma=0.02, dropout_prob=0.05, clutter_rate=2.0, seed=3)
